@@ -76,9 +76,6 @@ class ProblemSet:
                 return problem
         raise CorpusError(f"no problem with id {problem_id!r}")
 
-    def ids(self) -> List[str]:
-        return [p.id for p in self.problems]
-
 
 def validate_problem(problem: Problem) -> List[str]:
     """Return a list of violation messages. Empty means valid. Pure."""

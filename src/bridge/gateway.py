@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import requests
-
 from . import metrics
 from .errors import ConfigError, GatewayError, ReplayMissError, TransportError
 
@@ -92,39 +90,6 @@ def count_tokens(record: CompletionRecord) -> Tuple[int, int]:
     return words, tokens
 
 
-class RateLimiter:
-    """Sliding-window request limiter with injectable clock and sleep."""
-
-    def __init__(
-        self,
-        max_requests: int,
-        per_seconds: float,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if max_requests < 1 or per_seconds <= 0:
-            raise ConfigError("rate limit needs max_requests >= 1 and a positive window")
-        self.max_requests = max_requests
-        self.per_seconds = per_seconds
-        self._clock = clock
-        self._sleep = sleep
-        self._stamps: List[float] = []
-        self._lock = threading.Lock()
-
-    def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = self._clock()
-                self._stamps = [
-                    t for t in self._stamps if now - t < self.per_seconds
-                ]
-                if len(self._stamps) < self.max_requests:
-                    self._stamps.append(now)
-                    return
-                wait = self.per_seconds - (now - self._stamps[0])
-            self._sleep(max(wait, 0.0))
-
-
 def _default_transport(
     endpoint: str,
     api_key: str,
@@ -134,6 +99,8 @@ def _default_transport(
     n: int,
 ) -> List[Tuple[str, Optional[int]]]:
     """POST an OpenAI-style chat completion request."""
+    import requests  # only live and record modes reach the network
+
     payload = {
         "model": model_id,
         "messages": [{"role": "user", "content": prompt}],
@@ -182,7 +149,6 @@ class ModelGateway:
         script: Union[None, str, Path, Mapping] = None,
         archive_dir: Union[None, str, Path] = None,
         transport: Optional[Callable] = None,
-        rate_limiter: Optional[RateLimiter] = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         max_attempts: int = 3,
@@ -194,7 +160,6 @@ class ModelGateway:
         self.providers = dict(providers or {})
         self.archive_dir = Path(archive_dir) if archive_dir else None
         self.transport = transport or _default_transport
-        self.rate_limiter = rate_limiter
         self._sleep = sleep
         self._clock = clock
         self.max_attempts = max_attempts
@@ -392,8 +357,6 @@ class ModelGateway:
     ) -> List[Tuple[str, Optional[int]]]:
         last: Optional[Exception] = None
         for attempt in range(self.max_attempts):
-            if self.rate_limiter is not None:
-                self.rate_limiter.acquire()
             try:
                 return self.transport(endpoint, api_key, model_id, prompt, params, n)
             except TransportError as exc:

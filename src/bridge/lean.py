@@ -86,8 +86,6 @@ class VerificationOutcome:
 
 @dataclass(frozen=True)
 class LeanProject:
-    root: Path
-    source_path: Path
     source_text: str
     digest: str
 
@@ -275,22 +273,11 @@ class LeanVerifier:
         problem: Optional[Problem],
         include_tests: bool = True,
     ) -> LeanProject:
-        """Write the candidate file into a fresh isolated directory."""
+        """Assemble the candidate file's source and its digest; no disk I/O."""
         source = build_source(artifact_body, problem, include_tests, self.mathlib)
-        root = Path(self._workdir_factory())
-        root.mkdir(parents=True, exist_ok=True)
-        path = root / SOURCE_NAME
-        path.write_text(source, encoding="utf-8")
-        return LeanProject(
-            root=root,
-            source_path=path,
-            source_text=source,
-            digest=source_digest(source),
-        )
+        return LeanProject(source_text=source, digest=source_digest(source))
 
-    def check(
-        self, project: LeanProject, timeout: Optional[float] = None
-    ) -> VerificationOutcome:
+    def check(self, project: LeanProject) -> VerificationOutcome:
         """Run the toolchain (or look up a transcript) and interpret output.
 
         Verified requires: tool exit success, zero error diagnostics, and
@@ -299,30 +286,27 @@ class LeanVerifier:
         miss or absent toolchain yields ToolMissing rather than an
         exception.
         """
-        budget = timeout if timeout is not None else self.timeout
         if self._transcripts is not None:
             return self._check_transcript(project)
         if self.toolchain_available():
-            return self._check_real(project, budget)
-        return VerificationOutcome(
-            status=VerifyStatus.TOOL_MISSING,
-            diagnostics=(),
-            error_classes=frozenset(),
-            sorry_count=count_sorries(project.source_text),
-            elapsed=0.0,
-        )
+            return self._check_real(project)
+        return _tool_missing(project)
 
-    def _check_real(self, project: LeanProject, budget: float) -> VerificationOutcome:
-        argv = self.command + [project.source_path.name]
-        start = time.monotonic()
+    def _check_real(self, project: LeanProject) -> VerificationOutcome:
+        """Compile the source in a fresh work directory, removed afterwards."""
+        root = Path(self._workdir_factory())
         try:
+            root.mkdir(parents=True, exist_ok=True)
+            (root / SOURCE_NAME).write_text(project.source_text, encoding="utf-8")
+            start = time.monotonic()
             proc = self._runner(
-                argv,
-                cwd=str(project.root),
+                self.command + [SOURCE_NAME],
+                cwd=str(root),
                 capture_output=True,
                 text=True,
-                timeout=budget,
+                timeout=self.timeout,
             )
+            elapsed = time.monotonic() - start
         except subprocess.TimeoutExpired as exc:
             elapsed = time.monotonic() - start
             output = _expired_output(exc)
@@ -335,7 +319,8 @@ class LeanVerifier:
                 sorry_count=count_sorries(project.source_text),
                 elapsed=elapsed,
             )
-        elapsed = time.monotonic() - start
+        finally:
+            shutil.rmtree(root, ignore_errors=True)
         return self._interpret(
             project, proc.returncode, (proc.stdout or "") + (proc.stderr or ""), elapsed
         )
@@ -343,13 +328,7 @@ class LeanVerifier:
     def _check_transcript(self, project: LeanProject) -> VerificationOutcome:
         entry = self._transcripts.get(project.digest)
         if entry is None:
-            return VerificationOutcome(
-                status=VerifyStatus.TOOL_MISSING,
-                diagnostics=(),
-                error_classes=frozenset(),
-                sorry_count=count_sorries(project.source_text),
-                elapsed=0.0,
-            )
+            return _tool_missing(project)
         return self._interpret(
             project,
             int(entry.get("returncode", 1)),
@@ -375,6 +354,16 @@ class LeanVerifier:
             sorry_count=sorries,
             elapsed=elapsed,
         )
+
+
+def _tool_missing(project: LeanProject) -> VerificationOutcome:
+    return VerificationOutcome(
+        status=VerifyStatus.TOOL_MISSING,
+        diagnostics=(),
+        error_classes=frozenset(),
+        sorry_count=count_sorries(project.source_text),
+        elapsed=0.0,
+    )
 
 
 def _expired_output(exc: subprocess.TimeoutExpired) -> str:

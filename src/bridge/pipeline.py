@@ -2,8 +2,14 @@
 
 A run crosses problems, strategies, and models into cells.  Each cell
 draws n initial completions; every completion starts an attempt chain
-that is extracted, evaluated by the domain backend, and retried with
-error feedback until success or the round budget runs out.
+that is extracted, judged, and retried with error feedback until success
+or the round budget runs out.
+
+Each domain maps to one backend check that returns a Verdict: spec
+artifacts run against the unit tests in the Python sandbox; code and proof
+artifacts are scaffolded and checked by Lean.  After the chain ends, spec
+chains that succeeded get the contract and vacuity checks, and proof
+chains get their theorems extracted.
 
 Serialized chain schema (one JSON object per line in chains.jsonl):
 
@@ -28,14 +34,15 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__, metrics, proofs, pyexec
 from .corpus import Problem, ProblemSet, filter_problems, load_manifest
 from .errors import ConfigError, NoArtifactError
 from .gateway import CompletionRecord, DecodingParams, ModelGateway, count_tokens
-from .lean import LeanVerifier, VerifyStatus
-from .prompts import StrategyId, TemplateCatalog, extract_artifacts, problem_values
+from .lean import LeanVerifier, VerificationOutcome, VerifyStatus
+from .prompts import ExtractedArtifact, StrategyId, TemplateCatalog
+from .prompts import extract_artifacts, problem_values
 
 RUN_MODES = ("ParallelOnly", "RetryOnly", "ParallelPlusRetry")
 SUCCESS_PREDICATES = ("compile+guards", "compile-only")
@@ -260,6 +267,57 @@ class RunResult:
     manifest: Dict
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """One backend's judgement of one artifact.
+
+    stop means the backend could not judge at all (no Lean toolchain or
+    transcript), which ends the chain; errors feed the retry prompt.
+    """
+
+    success: bool
+    stop: bool
+    errors: Tuple[str, ...]
+    outcome: Optional[Dict]
+
+
+_NO_ARTIFACT = Verdict(False, False, (_NO_ARTIFACT_MESSAGE,), None)
+
+
+def _pick(domain: str, index: int) -> Callable[[str], ExtractedArtifact]:
+    return lambda completion: extract_artifacts(completion, domain)[index]
+
+
+def _completion_obj(record: CompletionRecord) -> Dict:
+    return {
+        "text": record.text,
+        "reported_tokens": record.reported_tokens,
+        "latency": record.latency,
+    }
+
+
+def _artifact_obj(artifact: Optional[ExtractedArtifact]) -> Optional[Dict]:
+    if artifact is None:
+        return None
+    return {"kind": artifact.kind, "body": artifact.body, "span": list(artifact.span)}
+
+
+def _diagnostic_lines(outcome: VerificationOutcome, fallback: str) -> List[str]:
+    """Lean diagnostics as retry-prompt lines; `fallback status` when none."""
+    lines = [
+        f"{d.line}:{d.column}: {d.severity}: {d.message}" for d in outcome.diagnostics
+    ]
+    return lines or [f"{fallback} {outcome.status.value}"]
+
+
+def _final_artifact(chain: Dict) -> Optional[Dict]:
+    """The artifact of the chain's last round that yielded one."""
+    for round_obj in reversed(chain["rounds"]):
+        if round_obj.get("artifact"):
+            return round_obj["artifact"]
+    return None
+
+
 class Orchestrator:
     """Executes one configured run against injectable backends."""
 
@@ -269,13 +327,18 @@ class Orchestrator:
         *,
         gateway: Optional[ModelGateway] = None,
         verifier: Optional[LeanVerifier] = None,
-        catalog: Optional[TemplateCatalog] = None,
         problems: Optional[ProblemSet] = None,
     ) -> None:
         self.config = config
-        self.catalog = catalog if catalog is not None else TemplateCatalog()
+        self.catalog = TemplateCatalog()
         self.gateway = gateway if gateway is not None else build_gateway(config)
         self.verifier = verifier if verifier is not None else build_verifier(config)
+        # domain -> (artifact pick, check, after-chain step)
+        self._backends = {
+            "code": (_pick("code", 0), self._check_lean, None),
+            "spec": (_pick("spec", -1), self._check_python, self._spec_checks),
+            "proof": (_pick("proof", 0), self._check_lean, self._theorems),
+        }
         if problems is not None:
             self.problems = list(problems)
         else:
@@ -339,45 +402,43 @@ class Orchestrator:
         model: str,
         first_record: CompletionRecord,
     ) -> Dict:
+        pick, check, after = self._backends[strategy.domain]
         max_rounds = self._max_rounds()
         annotations: Dict[str, object] = {}
         rounds: List[Dict] = []
         record = first_record
         final_status = "Failure"
-        last_artifact_body: Optional[str] = None
 
         for round_no in range(1, max_rounds + 1):
-            evaluation = self._evaluate(problem, strategy, record.text)
-            artifact, outcome_obj, success, errors, stop = evaluation
+            try:
+                artifact = pick(record.text)
+            except NoArtifactError:
+                artifact, verdict = None, _NO_ARTIFACT
+            else:
+                verdict = check(artifact.body, problem)
             words, tokens = count_tokens(record)
             round_obj: Dict[str, object] = {
                 "round": round_no,
                 "prompt_digest": record.prompt_digest,
-                "completion": {
-                    "text": record.text,
-                    "reported_tokens": record.reported_tokens,
-                    "latency": record.latency,
-                },
-                "artifact": artifact,
+                "completion": _completion_obj(record),
+                "artifact": _artifact_obj(artifact),
                 "words": words,
                 "tokens": tokens,
-                "outcome": outcome_obj,
+                "outcome": verdict.outcome,
             }
-            if artifact is not None:
-                last_artifact_body = artifact["body"]
-            if stop:
+            if verdict.stop:
                 annotations["lean_unavailable"] = True
             rounds.append(round_obj)
 
-            if success:
+            if verdict.success:
                 final_status = "Success"
                 break
-            if stop or round_no == max_rounds:
+            if verdict.stop or round_no == max_rounds:
                 final_status = "Failure" if artifact is not None else "NoArtifact"
                 break
 
             retry_prompt = self._retry_prompt(
-                problem, strategy, model, round_obj, errors, round_no, annotations
+                problem, strategy, model, round_obj, verdict.errors, round_no, annotations
             )
             record = self.gateway.complete_n(
                 model, retry_prompt, self._decoding_params(1)
@@ -392,51 +453,16 @@ class Orchestrator:
             "rounds": rounds,
             "annotations": annotations,
         }
-        self._annotate(chain, problem, strategy, last_artifact_body)
+        if after is not None:
+            after(chain, problem, strategy)
         return chain
 
-    def _evaluate(
-        self, problem: Problem, strategy: StrategyId, completion: str
-    ) -> Tuple[Optional[Dict], Optional[Dict], bool, List[str], bool]:
-        """Returns (artifact_obj, outcome_obj, success, errors, stop)."""
-        try:
-            artifacts = extract_artifacts(completion, strategy.domain)
-        except NoArtifactError:
-            return None, None, False, [_NO_ARTIFACT_MESSAGE], False
+    # --- backends ------------------------------------------------------
 
-        if strategy.domain == "spec":
-            chosen = artifacts[-1]
-        else:
-            chosen = artifacts[0]
-        artifact_obj = {
-            "kind": chosen.kind,
-            "body": chosen.body,
-            "span": list(chosen.span),
-        }
-
-        if strategy.domain == "spec":
-            outcome = pyexec.run_tests(
-                chosen.body, problem, timeout=float(self.config.python["timeout"])
-            )
-            errors = self._python_errors(outcome)
-            return artifact_obj, outcome.to_obj(), outcome.all_passed, errors, False
-
-        include_tests = self.config.success["lean"] == "compile+guards"
-        project = self.verifier.scaffold(chosen.body, problem, include_tests=include_tests)
-        outcome = self.verifier.check(project)
-        if outcome.status is VerifyStatus.TOOL_MISSING:
-            return artifact_obj, outcome.to_obj(), False, [], True
-        success = outcome.status is VerifyStatus.VERIFIED
-        errors = [
-            f"{d.line}:{d.column}: {d.severity}: {d.message}"
-            for d in outcome.diagnostics
-        ]
-        if not errors and not success:
-            errors = [f"verification ended with status {outcome.status.value}"]
-        return artifact_obj, outcome.to_obj(), success, errors, False
-
-    @staticmethod
-    def _python_errors(outcome: pyexec.TestOutcome) -> List[str]:
+    def _check_python(self, body: str, problem: Problem) -> Verdict:
+        outcome = pyexec.run_tests(
+            body, problem, timeout=float(self.config.python["timeout"])
+        )
         errors = []
         for failure in outcome.failures:
             index = failure.get("index")
@@ -455,7 +481,55 @@ class Orchestrator:
                 errors.append(f"test {index}: {reason}")
         if outcome.fault and outcome.fault != "RuntimeError":
             errors.append(f"execution fault: {outcome.fault}")
-        return errors
+        return Verdict(outcome.all_passed, False, tuple(errors), outcome.to_obj())
+
+    def _check_lean(self, body: str, problem: Problem) -> Verdict:
+        include_tests = self.config.success["lean"] == "compile+guards"
+        project = self.verifier.scaffold(body, problem, include_tests=include_tests)
+        outcome = self.verifier.check(project)
+        return Verdict(
+            success=outcome.status is VerifyStatus.VERIFIED,
+            stop=outcome.status is VerifyStatus.TOOL_MISSING,
+            errors=tuple(_diagnostic_lines(outcome, "verification ended with status")),
+            outcome=outcome.to_obj(),
+        )
+
+    def _spec_checks(self, chain: Dict, problem: Problem, strategy: StrategyId) -> None:
+        """Contract fuzzing and the vacuity check for a passing specification."""
+        if chain["final_status"] != "Success":
+            return
+        checks = self.config.spec_checks
+        body = _final_artifact(chain)["body"]
+        timeout = float(self.config.python["timeout"])
+        if checks["contracts"]:
+            report = pyexec.check_contracts(
+                body,
+                problem,
+                trials=int(checks["trials"]),
+                seed=self.config.seed,
+                timeout=timeout,
+            )
+            chain["annotations"]["contracts"] = report.to_obj()
+        if checks["vacuity"]:
+            try:
+                vacuity = pyexec.vacuity_check(
+                    body,
+                    problem,
+                    seed=self.config.seed,
+                    random_trials=int(checks["random_trials"]),
+                    timeout=timeout,
+                ).to_obj()
+            except pyexec.MutantError as exc:
+                vacuity = {"type": "vacuity", "verdict": "NoMutants", "error": str(exc)}
+            chain["annotations"]["vacuity"] = vacuity
+
+    def _theorems(self, chain: Dict, problem: Problem, strategy: StrategyId) -> None:
+        artifact = _final_artifact(chain)
+        if artifact is not None:
+            candidates = proofs.extract_theorems(artifact["body"], strategy.name)
+            chain["annotations"]["theorems"] = [c.to_obj() for c in candidates]
+
+    # --- retries ---------------------------------------------------------
 
     def _retry_prompt(
         self,
@@ -463,7 +537,7 @@ class Orchestrator:
         strategy: StrategyId,
         model: str,
         round_obj: Dict,
-        errors: List[str],
+        errors: Sequence[str],
         round_no: int,
         annotations: Dict[str, object],
     ) -> str:
@@ -501,79 +575,20 @@ class Orchestrator:
         prompt = self.catalog.render_feedback("lean-translation", values)
         record = self.gateway.complete_n(model, prompt, self._decoding_params(1))[0]
         try:
-            artifacts = extract_artifacts(record.text, "code")
+            artifact = extract_artifacts(record.text, "code")[0]
         except NoArtifactError:
             return None
-        project = self.verifier.scaffold(artifacts[0].body, problem, include_tests=False)
+        project = self.verifier.scaffold(artifact.body, problem, include_tests=False)
         outcome = self.verifier.check(project)
         round_obj["cross_feedback"] = {
             "prompt_digest": record.prompt_digest,
-            "completion": {
-                "text": record.text,
-                "reported_tokens": record.reported_tokens,
-                "latency": record.latency,
-            },
-            "artifact": {
-                "kind": artifacts[0].kind,
-                "body": artifacts[0].body,
-                "span": list(artifacts[0].span),
-            },
+            "completion": _completion_obj(record),
+            "artifact": _artifact_obj(artifact),
             "outcome": outcome.to_obj(),
         }
         if outcome.status is VerifyStatus.TOOL_MISSING:
             return None
-        lines = [
-            f"{d.line}:{d.column}: {d.severity}: {d.message}"
-            for d in outcome.diagnostics
-        ]
-        if not lines:
-            lines = [f"Lean verification status: {outcome.status.value}"]
-        return "\n".join(lines)
-
-    def _annotate(
-        self,
-        chain: Dict,
-        problem: Problem,
-        strategy: StrategyId,
-        artifact_body: Optional[str],
-    ) -> None:
-        checks = self.config.spec_checks
-        if strategy.domain == "spec" and chain["final_status"] == "Success":
-            assert artifact_body is not None
-            if checks["contracts"]:
-                report = pyexec.check_contracts(
-                    artifact_body,
-                    problem,
-                    trials=int(checks["trials"]),
-                    seed=self.config.seed,
-                )
-                chain["annotations"]["contracts"] = report.to_obj()
-            if checks["vacuity"]:
-                try:
-                    report = pyexec.vacuity_check(
-                        artifact_body,
-                        problem,
-                        seed=self.config.seed,
-                        random_trials=int(checks["random_trials"]),
-                    )
-                    chain["annotations"]["vacuity"] = report.to_obj()
-                except pyexec.MutantError as exc:
-                    chain["annotations"]["vacuity"] = {
-                        "type": "vacuity",
-                        "verdict": "NoMutants",
-                        "error": str(exc),
-                    }
-        if strategy.domain == "proof":
-            final_artifact = None
-            for round_obj in reversed(chain["rounds"]):
-                if round_obj.get("artifact"):
-                    final_artifact = round_obj["artifact"]
-                    break
-            if final_artifact is not None:
-                candidates = proofs.extract_theorems(
-                    final_artifact["body"], strategy.name
-                )
-                chain["annotations"]["theorems"] = [c.to_obj() for c in candidates]
+        return "\n".join(_diagnostic_lines(outcome, "Lean verification status:"))
 
     # --- run assembly --------------------------------------------------
 
@@ -631,36 +646,21 @@ class Orchestrator:
         meta_dir.mkdir(exist_ok=True)
         for problem_id in sorted(by_problem):
             groups: Dict[str, List[proofs.TheoremCandidate]] = {}
-            implementation = ""
             for chain in by_problem[problem_id]:
                 pathway = chain["strategy"].split("/", 1)[1]
                 for item in chain["annotations"].get("theorems", ()):
+                    categories = frozenset(item["categories"])
                     groups.setdefault(pathway, []).append(
-                        proofs.TheoremCandidate(
-                            name=item["name"],
-                            statement=item["statement"],
-                            pathway=pathway,
-                            categories=frozenset(item["categories"]),
-                            has_sorry=item["has_sorry"],
-                        )
+                        proofs.TheoremCandidate(**{**item, "categories": categories})
                     )
-                if not implementation:
-                    for round_obj in reversed(chain["rounds"]):
-                        artifact = round_obj.get("artifact")
-                        if artifact and chain["final_status"] == "Success":
-                            implementation = artifact["body"]
-                            break
-            if not implementation:
-                for chain in by_problem[problem_id]:
-                    for round_obj in reversed(chain["rounds"]):
-                        artifact = round_obj.get("artifact")
-                        if artifact:
-                            implementation = artifact["body"]
-                            break
-                    if implementation:
-                        break
             if not groups:
                 continue
+            # a passing chain's implementation first, else any chain's
+            group = by_problem[problem_id]
+            passing = [c for c in group if c["final_status"] == "Success"]
+            implementation = next(
+                (a["body"] for a in map(_final_artifact, passing + group) if a), ""
+            )
             report = proofs.intersect(
                 groups, threshold=self.config.intersection_threshold
             )
@@ -675,7 +675,6 @@ def run_sweep(
     *,
     gateway: Optional[ModelGateway] = None,
     verifier: Optional[LeanVerifier] = None,
-    catalog: Optional[TemplateCatalog] = None,
     problems: Optional[ProblemSet] = None,
 ) -> List[Tuple[float, RunResult]]:
     """One run per temperature grid point, each with a derived seed."""
@@ -691,11 +690,7 @@ def run_sweep(
         decoding["seed"] = base_seed ^ index
         point = config.replace(decoding=decoding, temperature_grid=())
         orchestrator = Orchestrator(
-            point,
-            gateway=gateway,
-            verifier=verifier,
-            catalog=catalog,
-            problems=problems,
+            point, gateway=gateway, verifier=verifier, problems=problems
         )
         result = orchestrator.run()
         renamed = _rename_run(result, f"{result.run_id}-t{index}")

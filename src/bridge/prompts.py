@@ -89,7 +89,7 @@ def list_strategies(domain: Optional[str] = None) -> List[StrategyId]:
 
 @dataclass(frozen=True)
 class ExtractedArtifact:
-    kind: str  # LeanSource, PythonSource, or TheoremBlock
+    kind: str  # LeanSource or PythonSource
     body: str
     span: Tuple[int, int]  # character offsets into the completion
 
@@ -242,40 +242,11 @@ class TemplateCatalog:
         )
 
 
-_default_catalog: Optional[TemplateCatalog] = None
-
-
-def default_catalog() -> TemplateCatalog:
-    global _default_catalog
-    if _default_catalog is None:
-        _default_catalog = TemplateCatalog()
-    return _default_catalog
-
-
-def render(
-    strategy: StrategyId, problem: Problem, extra: Optional[Mapping[str, str]] = None
-) -> str:
-    return default_catalog().render(strategy, problem, extra)
-
-
-def render_retry(
-    previous_artifact: str, errors: Sequence[str], round_index: int, max_rounds: int
-) -> str:
-    return default_catalog().render_retry(
-        previous_artifact, errors, round_index, max_rounds
-    )
-
-
 # --- artifact extraction ----------------------------------------------------
 
 _FENCE = re.compile(r"(?m)^```[^\n]*\n((?:[^\n]*\n)*?)```[ \t]*$")
 _PYTHON_BLOCK = re.compile(r"<python>(.*?)</python>", re.S)
 _IMPORT_STD = re.compile(r"(?m)^import Std\b")
-_THEOREM_START = re.compile(r"(?m)^theorem\s")
-_TOP_LEVEL = re.compile(
-    r"(?m)^(?:def|theorem|lemma|example|instance|structure|inductive|abbrev|"
-    r"#guard|#eval|@\[|end\b|/--|--)"
-)
 
 
 def _trim_block(body: str, start: int) -> Tuple[str, int, int]:
@@ -290,31 +261,14 @@ def _trim_block(body: str, start: int) -> Tuple[str, int, int]:
     return body, start, end
 
 
-def _theorem_blocks(lean_body: str, base: int) -> List[ExtractedArtifact]:
-    blocks: List[ExtractedArtifact] = []
-    for match in _THEOREM_START.finditer(lean_body):
-        start = match.start()
-        nxt = _TOP_LEVEL.search(lean_body, match.end())
-        end = nxt.start() if nxt else len(lean_body)
-        body = lean_body[start:end].rstrip("\n")
-        blocks.append(
-            ExtractedArtifact(
-                kind="TheoremBlock",
-                body=body,
-                span=(base + start, base + start + len(body)),
-            )
-        )
-    return blocks
-
-
 def extract_artifacts(completion: str, domain: str) -> List[ExtractedArtifact]:
     """Pull verifiable artifacts out of a model completion.
 
     Spec domain: every non-empty region between <python> and </python>, in
-    order (consumers take the last). Code and proof domains: the last
-    complete fenced code block, falling back to the region starting at the
-    first line beginning with `import Std`; theorem declarations inside it
-    are returned as additional TheoremBlock artifacts.
+    order (consumers take the last). Code and proof domains: one artifact,
+    the last complete fenced code block, falling back to the region starting
+    at the first line beginning with `import Std`. Theorems inside a proof
+    are read by proofs.extract_theorems.
 
     Raises NoArtifactError when nothing extractable is present.
     """
@@ -353,10 +307,8 @@ def extract_artifacts(completion: str, domain: str) -> List[ExtractedArtifact]:
         raise NoArtifactError(
             "no fenced code block or import Std region found in completion"
         )
-    artifacts = [
+    return [
         ExtractedArtifact(
             kind="LeanSource", body=lean_body, span=(base, base + len(lean_body))
         )
     ]
-    artifacts.extend(_theorem_blocks(lean_body, base))
-    return artifacts

@@ -410,9 +410,7 @@ if __name__ == "__main__":
 '''
 
 
-def _python_command(python_cmd: Optional[Sequence[str]]) -> List[str]:
-    if python_cmd:
-        return list(python_cmd)
+def _python_command() -> List[str]:
     env_cmd = os.environ.get("BRIDGE_PYTHON_CMD")
     if env_cmd:
         import shlex
@@ -428,10 +426,7 @@ def _child_env(workdir: str) -> Dict[str, str]:
 
 
 def _run_child(
-    payload: Dict[str, object],
-    *,
-    timeout: float,
-    python_cmd: Optional[Sequence[str]] = None,
+    payload: Dict[str, object], *, timeout: float
 ) -> Tuple[List[Dict[str, object]], Optional[int], bool]:
     """Run the child program, returning (records, returncode, timed_out)."""
     with tempfile.TemporaryDirectory(prefix="bridge-py-") as workdir:
@@ -447,7 +442,7 @@ def _run_child(
         except OSError as exc:
             raise SandboxError(f"cannot stage sandbox workdir: {exc}") from exc
 
-        cmd = _python_command(python_cmd) + [runner_path, payload_path]
+        cmd = _python_command() + [runner_path, payload_path]
         try:
             proc = subprocess.run(
                 cmd,
@@ -502,13 +497,10 @@ def run_tests(
     problem: Problem,
     *,
     timeout: float = DEFAULT_TIMEOUT,
-    python_cmd: Optional[Sequence[str]] = None,
 ) -> TestOutcome:
     """Execute the candidate against the problem's unit tests."""
     payload = _tests_payload(artifact_body, problem)
-    records, returncode, timed_out = _run_child(
-        payload, timeout=timeout, python_cmd=python_cmd
-    )
+    records, returncode, timed_out = _run_child(payload, timeout=timeout)
 
     total = len(problem.tests)
     by_index: Dict[int, Dict[str, object]] = {}
@@ -607,15 +599,12 @@ def check_contracts(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     timeout: float = 30.0,
-    python_cmd: Optional[Sequence[str]] = None,
 ) -> ContractReport:
     """Probe contract activity by calling the candidate on random inputs."""
     payload = _contracts_payload(
         artifact_body, problem, trials=trials, seed=seed, include_tests=False
     )
-    records, returncode, timed_out = _run_child(
-        payload, timeout=timeout, python_cmd=python_cmd
-    )
+    records, returncode, timed_out = _run_child(payload, timeout=timeout)
     counts = _tally(records)
     faults = counts["fault"]
     if timed_out or returncode not in (0, None):
@@ -775,7 +764,6 @@ def vacuity_check(
     random_trials: int = DEFAULT_RANDOM_TRIALS,
     mutant_names: Sequence[str] = MUTANT_NAMES,
     timeout: float = 30.0,
-    python_cmd: Optional[Sequence[str]] = None,
 ) -> VacuityReport:
     """Judge whether a specification's contracts actually constrain behavior.
 
@@ -784,9 +772,7 @@ def vacuity_check(
     is rejected when a postcondition or invariant fires on at least one
     probe input.  A specification rejecting no mutants is Vacuous.
     """
-    reference = run_tests(
-        artifact_body, problem, timeout=timeout, python_cmd=python_cmd
-    )
+    reference = run_tests(artifact_body, problem, timeout=timeout)
     if not reference.all_passed:
         return VacuityReport(
             verdict="InconsistentSpec", mutants_total=0, mutants_rejected=0
@@ -803,9 +789,7 @@ def vacuity_check(
             seed=seed,
             include_tests=True,
         )
-        records, returncode, timed_out = _run_child(
-            payload, timeout=timeout, python_cmd=python_cmd
-        )
+        records, returncode, timed_out = _run_child(payload, timeout=timeout)
         if records and records[0].get("status") == "crash":
             # mutation broke the module; a crash is not a contract rejection
             details.append(

@@ -248,12 +248,13 @@ def test_05_retry_budgets_respected(acceptance_log, tmp_path):
 
 def test_06_e2e_mock_run_deterministic(acceptance_log, tmp_path, monkeypatch):
     with criterion(acceptance_log, 6, "480-chain mock run reproduces byte-identically"):
-        import bridge.gateway as gateway_module
+        import requests
 
         def no_network(*args, **kwargs):
             raise AssertionError("network call attempted during mock run")
 
-        monkeypatch.setattr(gateway_module.requests, "post", no_network)
+        # the gateway imports requests lazily and reaches this same attribute
+        monkeypatch.setattr(requests, "post", no_network)
 
         start = time.monotonic()
         results = []

@@ -1,14 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import bridge
 from bridge.errors import ConfigError, GatewayError, ReplayMissError, TransportError
 from bridge.gateway import (
     CompletionRecord,
     DecodingParams,
     ModelGateway,
-    RateLimiter,
     count_tokens,
     prompt_digest,
 )
@@ -333,54 +337,16 @@ class TestLiveRetry:
             ModelGateway("streaming")
 
 
-class TestRateLimiter:
-    def test_window_enforced_with_fake_clock(self):
-        now = [0.0]
-        sleeps = []
-
-        def clock():
-            return now[0]
-
-        def sleep(dt):
-            sleeps.append(dt)
-            now[0] += dt
-
-        rl = RateLimiter(2, 10.0, clock=clock, sleep=sleep)
-        rl.acquire()
-        rl.acquire()
-        assert sleeps == []
-        rl.acquire()  # third within the window must wait out the remainder
-        assert sleeps == [10.0]
-        assert now[0] == 10.0
-
-    def test_expired_stamps_free_slots(self):
-        now = [0.0]
-        sleeps = []
-        rl = RateLimiter(1, 5.0, clock=lambda: now[0], sleep=sleeps.append)
-        rl.acquire()
-        now[0] = 6.0
-        rl.acquire()
-        assert sleeps == []
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RateLimiter(0, 1.0)
-        with pytest.raises(ConfigError):
-            RateLimiter(1, 0.0)
-
-    def test_gateway_acquires_before_transport(self, monkeypatch):
-        monkeypatch.setenv("BRIDGE_ACME_KEY", "k")
-        order = []
-
-        class Probe(RateLimiter):
-            def acquire(self):
-                order.append("acquire")
-
-        def transport(*a, **k):
-            order.append("call")
-            return [("t", None)]
-
-        gw = ModelGateway("live", providers=PROVIDERS, transport=transport,
-                          rate_limiter=Probe(1, 1.0))
-        gw.complete_n("m", "p", P)
-        assert order == ["acquire", "call"]
+class TestLazyRequests:
+    def test_cli_import_leaves_requests_unloaded(self):
+        # mock and replay runs never reach the network, so importing the
+        # CLI must not pay for importing requests
+        src = str(Path(bridge.__file__).resolve().parent.parent)
+        code = "import sys, bridge.cli; print('requests' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import subprocess
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -144,7 +145,8 @@ def make_runner(returncode=0, stdout="", stderr="", raise_timeout=False):
     calls = []
 
     def runner(argv, cwd=None, capture_output=None, text=None, timeout=None):
-        calls.append({"argv": argv, "cwd": cwd, "timeout": timeout})
+        staged = (Path(cwd) / argv[-1]).read_text(encoding="utf-8")
+        calls.append({"argv": argv, "cwd": cwd, "timeout": timeout, "source": staged})
         if raise_timeout:
             raise subprocess.TimeoutExpired(argv, timeout, output=b"partial out")
         return SimpleNamespace(returncode=returncode, stdout=stdout, stderr=stderr)
@@ -163,7 +165,9 @@ class TestVerifierRealPath:
         assert outcome.status is VerifyStatus.VERIFIED
         assert outcome.error_classes == frozenset()
         assert outcome.sorry_count == 0
-        assert runner.calls[0]["cwd"] == str(project.root)
+        assert runner.calls[0]["cwd"] == str(tmp_path / "w1")
+        assert runner.calls[0]["source"] == project.source_text
+        assert not (tmp_path / "w1").exists()
 
     def test_error_output_classified(self, tmp_path):
         out = "Candidate.lean:2:4: error: unknown identifier 'mystery'\n"
@@ -197,6 +201,7 @@ class TestVerifierRealPath:
         assert outcome.status is VerifyStatus.TIMEOUT
         assert ErrorClass.TIMEOUT in outcome.error_classes
         assert runner.calls[0]["timeout"] == 0.5
+        assert not (tmp_path / "w4").exists()
 
     def test_missing_toolchain_reports_tool_missing(self, tmp_path):
         v = LeanVerifier(command=["definitely-not-a-real-binary-7q"],

@@ -1,8 +1,12 @@
 import json
+import os
 import re
+import tempfile
+from types import SimpleNamespace
 
 import pytest
 
+from bridge import pyexec
 from bridge.corpus import Problem, UnitTest
 from bridge.errors import ConfigError
 from bridge.gateway import CompletionRecord, prompt_digest
@@ -277,6 +281,22 @@ class TestLeanChains:
         chain = orch.run().chains[0]
         assert chain["final_status"] == "Success"
 
+    def test_transcript_checks_leave_no_work_dirs(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        transcripts = self.make_transcripts(
+            "import Std\n\n" + LEAN_BODY, ADD, 1, "Candidate.lean:1:0: error: boom\n")
+        config = make_config(tmp_path, strategies=["code/direct", "proof/unit-tests"],
+                             max_retries=2)
+        gw = LadderGateway([GOOD_LEAN])
+        orch = Orchestrator(config, gateway=gw,
+                            verifier=LeanVerifier(transcripts=transcripts),
+                            problems=[ADD])
+        chains = orch.run().chains
+        assert sum(len(c["rounds"]) for c in chains) == 6
+        assert not [n for n in os.listdir(scratch) if n.startswith("bridge-lean-")]
+
     def test_failed_lean_retry_prompt_lists_diagnostics(self, tmp_path):
         output = "Candidate.lean:3:0: error: unknown identifier 'mystery'\n"
         transcripts = self.make_transcripts("import Std\n\n" + LEAN_BODY, ADD, 1, output)
@@ -335,6 +355,16 @@ class TestCrossFeedback:
         assert "## Lean Compiler Feedback" in retry_prompt
         assert "type mismatch" in retry_prompt
 
+    def test_feedback_without_diagnostics_names_the_status(self, tmp_path):
+        body = "import Std\n\n" + LEAN_BODY
+        source = build_source(body, ADD, include_tests=False)
+        transcripts = {source_digest(source): {"returncode": 0, "output": ""}}
+        chain, gw = self.run_with_feedback(tmp_path, transcripts)
+        assert chain["rounds"][0]["cross_feedback"]["outcome"]["status"] == "Verified"
+        retry_prompt = gw.calls[-1]["prompt"]
+        assert "## Lean Compiler Feedback" in retry_prompt
+        assert "Lean verification status: Verified" in retry_prompt
+
     def test_tool_missing_falls_back_to_plain_retry(self, tmp_path):
         chain, gw = self.run_with_feedback(tmp_path, transcripts={})
         assert chain["final_status"] == "Success"
@@ -360,6 +390,26 @@ class TestSpecAnnotations:
         assert chain["final_status"] == "Success"
         assert chain["annotations"]["contracts"]["type"] == "contracts"
         assert chain["annotations"]["vacuity"]["verdict"] == "Vacuous"
+
+    def test_checks_get_the_configured_python_timeout(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recorder(kind):
+            def record(body, problem, **kwargs):
+                seen.append((kind, kwargs.get("timeout")))
+                return SimpleNamespace(to_obj=lambda: {"type": kind})
+            return record
+
+        monkeypatch.setattr(pyexec, "check_contracts", recorder("contracts"))
+        monkeypatch.setattr(pyexec, "vacuity_check", recorder("vacuity"))
+        config = make_config(
+            tmp_path, python={"timeout": 7.5},
+            spec_checks={"contracts": True, "vacuity": True})
+        orch = Orchestrator(config, gateway=LadderGateway([GOOD_PY]),
+                            verifier=LeanVerifier(transcripts={}),
+                            problems=[ADD])
+        assert orch.run().chains[0]["final_status"] == "Success"
+        assert seen == [("contracts", 7.5), ("vacuity", 7.5)]
 
     def test_no_annotations_on_failure(self, tmp_path):
         config = make_config(

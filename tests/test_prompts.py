@@ -150,10 +150,10 @@ class TestExtraction:
             "```lean\nimport Std\n\ndef f : Int := 1\n\n"
             "theorem f_correct : f = f := rfl\n```\n"
         )
+        # theorems stay inside the one LeanSource; proofs.extract_theorems reads them
         arts = extract_artifacts(completion, "proof")
-        kinds = [a.kind for a in arts]
-        assert kinds[0] == "LeanSource"
-        assert "TheoremBlock" in kinds
+        assert [a.kind for a in arts] == ["LeanSource"]
+        assert "theorem f_correct" in arts[0].body
 
     def test_python_blocks_all_returned_in_order(self):
         completion = (
