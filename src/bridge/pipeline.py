@@ -595,11 +595,15 @@ class Orchestrator:
     def run(self) -> RunResult:
         config = self.config
         cell_list = self.cells()
-        if config.parallelism == 1:
-            nested = [self._run_cell(*cell) for cell in cell_list]
-        else:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                nested = list(pool.map(lambda c: self._run_cell(*c), cell_list))
+        try:
+            if config.parallelism == 1:
+                nested = [self._run_cell(*cell) for cell in cell_list]
+            else:
+                with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+                    nested = list(pool.map(lambda c: self._run_cell(*c), cell_list))
+        finally:
+            # reaped servers put the sandbox's CPU time in RUSAGE_CHILDREN
+            pyexec.shutdown()
         chains = [chain for group in nested for chain in group]
         chains.sort(
             key=lambda c: (c["problem"], c["strategy"], c["model"], c["sample_index"])

@@ -1,20 +1,28 @@
 """Sandboxed execution backend for Python candidate solutions.
 
-Candidates run in a separate interpreter with a scrubbed environment, a
-write-blocking audit hook, and a stubbed `deal` contracts module.  The
-parent communicates with the child over sentinel-prefixed stdout lines so
-candidate prints cannot corrupt the protocol.
+Candidates run outside this process, in a warm sandbox server: a
+long-lived, single-threaded interpreter with a scrubbed environment that
+has the runner and a stubbed `deal` contracts module loaded.  For each
+check the server forks a grandchild in its own session, which installs a
+write-blocking audit hook, runs the candidate in a fresh work directory
+and reports over a pipe with sentinel-prefixed lines, so candidate prints
+cannot corrupt the protocol.  The server kills the grandchild's process
+group on timeout or past the output cap, reaps it, and relays the records.
+Forking in the server keeps `fork` out of the threaded orchestrator.
 """
 
 from __future__ import annotations
 
 import ast
+import atexit
 import copy
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,8 +32,6 @@ from .errors import MutantError, SandboxError
 DEFAULT_TIMEOUT = 5.0
 DEFAULT_TRIALS = 50
 DEFAULT_RANDOM_TRIALS = 25
-
-_SENTINEL = "##REC## "
 
 # env vars the child is allowed to inherit
 _ENV_ALLOW = ("PATH", "LANG", "LC_ALL", "PYTHONIOENCODING", "SYSTEMROOT")
@@ -106,15 +112,26 @@ class VacuityReport:
         }
 
 
-# The child runner.  Kept dependency-free; reads a JSON payload path from
-# argv and emits one sentinel-prefixed JSON record per unit of work.
-_CHILD_PROGRAM = r'''
+# The sandbox server.  Kept dependency-free.  It first writes a line saying
+# whether it can serve, then reads one JSON request per line on stdin and
+# answers each with a line naming the grandchild's pid, then a line with the
+# records the grandchild emitted, its return code and whether it timed out.
+# Both answers echo the request's id.
+_SERVER_PROGRAM = r'''
 import json
+import os
 import random
+import select
+import signal
 import sys
+import time
 import types
 
 SENTINEL = "##REC## "
+OUTPUT_CAP = 1 << 20
+# longest text a record carries, so that honest records stay far below the cap
+TEXT_CAP = 1000
+WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_TRUNC
 
 
 def emit(rec):
@@ -122,23 +139,30 @@ def emit(rec):
     sys.stdout.flush()
 
 
-def install_sandbox(workdir):
-    import os
+def clip(text):
+    return text if len(text) <= TEXT_CAP else text[:TEXT_CAP] + "..."
 
+
+def install_sandbox(workdir):
     root = os.path.realpath(workdir)
+
+    def inside(target):
+        return os.path.commonpath([root, target]) == root
 
     def hook(event, args):
         if event == "open":
-            path, mode = args[0], args[1]
+            path, mode, flags = args[0], args[1], args[2]
             if mode is None:
-                mode = "r"
-            if any(ch in mode for ch in "wax+"):
+                writes = flags & WRITE_FLAGS  # os.open gives flags, not a mode
+            else:
+                writes = any(ch in mode for ch in "wax+")
+            if writes:
                 target = os.path.realpath(str(path))
-                if not target.startswith(root):
+                if not inside(target):
                     raise RuntimeError("write blocked outside sandbox: %s" % target)
         elif event in ("os.remove", "os.rename", "shutil.rmtree"):
             target = os.path.realpath(str(args[0]))
-            if not target.startswith(root):
+            if not inside(target):
                 raise RuntimeError("file mutation blocked outside sandbox: %s" % target)
 
     sys.addaudithook(hook)
@@ -350,7 +374,7 @@ def run_mode_tests(payload, fn):
             emit({
                 "index": i,
                 "status": "error",
-                "error": "%s: %s" % (type(exc).__name__, exc),
+                "error": clip("%s: %s" % (type(exc).__name__, exc)),
             })
             continue
         if test.get("order_insensitive"):
@@ -363,8 +387,8 @@ def run_mode_tests(payload, fn):
             emit({
                 "index": i,
                 "status": "fail",
-                "observed": repr(observed),
-                "expected": repr(expected),
+                "observed": clip(repr(observed)),
+                "expected": clip(repr(expected)),
             })
 
 
@@ -389,24 +413,135 @@ def run_mode_contracts(payload, fn):
             emit({"index": i, "kind": "ok"})
 
 
-def main():
-    with open(sys.argv[1], "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    sys.modules["deal"] = _make_deal()
-    install_sandbox(payload["workdir"])
+def run_candidate(request):
+    payload = request["payload"]
+    sys.modules["deal"] = DEAL
+    install_sandbox(request["workdir"])
     try:
         fn = load_candidate(payload["source"], payload["function_name"])
     except BaseException as exc:
-        emit({"status": "crash", "error": "%s: %s" % (type(exc).__name__, exc)})
-        sys.exit(3)
+        emit({"status": "crash", "error": clip("%s: %s" % (type(exc).__name__, exc))})
+        return 3
     if payload["mode"] == "tests":
         run_mode_tests(payload, fn)
     else:
         run_mode_contracts(payload, fn)
+    return 0
 
 
-if __name__ == "__main__":
-    main()
+def grandchild(request, record_fd):
+    """Run one request in this forked process; never returns."""
+    code = 1  # an uncaught exception exits 1, as in a fresh interpreter
+    try:
+        os.setsid()
+        null = os.open(os.devnull, os.O_RDWR)
+        os.dup2(null, 0)
+        os.dup2(record_fd, 1)
+        os.dup2(null, 2)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        os.chdir(request["workdir"])
+        os.environ["HOME"] = request["workdir"]
+        code = run_candidate(request)
+    except SystemExit as exc:
+        if exc.code is None:
+            code = 0
+        elif isinstance(exc.code, int):
+            code = exc.code & 0xFF
+    finally:
+        try:
+            sys.stdout.flush()
+        finally:
+            os._exit(code)
+
+
+def reply(out, obj):
+    out.write(json.dumps(obj).encode("ascii") + b"\n")
+    out.flush()
+
+
+def serve(request, out):
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        grandchild(request, write_fd)
+    os.close(write_fd)
+    reply(out, {"id": request["id"], "pid": pid})
+    exit_fd = os.pidfd_open(pid)
+    deadline = time.monotonic() + request["timeout"]
+    chunks = []
+    size = 0
+    timed_out = overflow = False
+    watched = [read_fd, exit_fd]
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            timed_out = True
+            break
+        ready = select.select(watched, [], [], remaining)[0]
+        if read_fd in ready:
+            chunk = os.read(read_fd, 1 << 16)
+            if not chunk:
+                watched.remove(read_fd)
+                continue
+            chunks.append(chunk)
+            size += len(chunk)
+            if size > OUTPUT_CAP:
+                overflow = True
+                break
+        elif exit_fd in ready:
+            break
+    # the grandchild is not reaped yet, so its pid still names its group;
+    # whatever it left running goes with it
+    try:
+        os.killpg(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        # no such group: the grandchild ended, or is still alive, before its setsid()
+        os.kill(pid, signal.SIGKILL)
+    status = os.waitpid(pid, 0)[1]
+    os.close(read_fd)
+    os.close(exit_fd)
+    if timed_out:
+        returncode = None
+    elif overflow:
+        returncode = -signal.SIGKILL
+    else:
+        returncode = os.waitstatus_to_exitcode(status)
+    records = []
+    text = b"".join(chunks)[:OUTPUT_CAP].decode("utf-8", errors="replace")
+    for line in text.splitlines():
+        if line.startswith(SENTINEL):
+            try:
+                rec = json.loads(line[len(SENTINEL):])
+            except ValueError:
+                continue
+            if isinstance(rec, dict):
+                records.append(rec)
+    reply(out, {
+        "id": request["id"],
+        "records": records,
+        "returncode": returncode,
+        "timed_out": timed_out,
+    })
+
+
+DEAL = _make_deal()
+
+
+def main():
+    requests = sys.stdin.buffer
+    out = sys.stdout.buffer
+    try:
+        os.close(os.pidfd_open(os.getpid()))
+    except (AttributeError, OSError) as exc:
+        # no pidfds (Linux before 5.3, Python before 3.9, or a seccomp filter)
+        reply(out, {"error": "pidfd_open: %s: %s" % (type(exc).__name__, exc)})
+        return
+    reply(out, {"ready": True})
+    for line in iter(requests.readline, b""):
+        serve(json.loads(line), out)
+
+
+main()
 '''
 
 
@@ -419,59 +554,164 @@ def _python_command() -> List[str]:
     return [sys.executable]
 
 
-def _child_env(workdir: str) -> Dict[str, str]:
-    env = {name: os.environ[name] for name in _ENV_ALLOW if name in os.environ}
-    env["HOME"] = workdir
-    return env
+def _child_env() -> Dict[str, str]:
+    return {name: os.environ[name] for name in _ENV_ALLOW if name in os.environ}
 
 
-def _run_child(
-    payload: Dict[str, object], *, timeout: float
-) -> Tuple[List[Dict[str, object]], Optional[int], bool]:
-    """Run the child program, returning (records, returncode, timed_out)."""
-    with tempfile.TemporaryDirectory(prefix="bridge-py-") as workdir:
-        payload = dict(payload)
-        payload["workdir"] = workdir
-        runner_path = os.path.join(workdir, "_runner.py")
-        payload_path = os.path.join(workdir, "_payload.json")
+_ChildResult = Tuple[List[Dict[str, object]], Optional[int], bool]
+
+
+class _Server:
+    """One warm sandbox server, serving one request at a time.
+
+    It talks over a socket pair rather than pipes: a socket cannot be
+    reopened through `/proc/<pid>/fd`, so a candidate cannot write into the
+    server's channel and answer for it or for a later request.
+    """
+
+    def __init__(self) -> None:
+        import socket  # here, so that runs without Python checks never load it
+
+        self._sock, server_end = socket.socketpair()
         try:
-            with open(runner_path, "w", encoding="utf-8") as fh:
-                fh.write(_CHILD_PROGRAM)
-            with open(payload_path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-        except OSError as exc:
-            raise SandboxError(f"cannot stage sandbox workdir: {exc}") from exc
-
-        cmd = _python_command() + [runner_path, payload_path]
-        try:
-            proc = subprocess.run(
-                cmd,
-                cwd=workdir,
-                env=_child_env(workdir),
-                stdin=subprocess.DEVNULL,
-                capture_output=True,
-                timeout=timeout,
+            self._proc = subprocess.Popen(
+                _python_command() + ["-I", "-c", _SERVER_PROGRAM],
+                stdin=server_end.fileno(),
+                stdout=server_end.fileno(),
+                stderr=subprocess.DEVNULL,
+                env=_child_env(),
             )
-            stdout = proc.stdout
-            returncode: Optional[int] = proc.returncode
-            timed_out = False
-        except subprocess.TimeoutExpired as exc:
-            stdout = exc.stdout or b""
-            returncode = None
-            timed_out = True
         except OSError as exc:
+            self._sock.close()
             raise SandboxError(f"cannot launch candidate interpreter: {exc}") from exc
-
-    text = stdout.decode("utf-8", errors="replace") if stdout else ""
-    records = []
-    for line in text.splitlines():
-        if not line.startswith(_SENTINEL):
-            continue
+        finally:
+            server_end.close()
+        self._lines = self._sock.makefile("rb")
+        self._pid: Optional[int] = None  # the grandchild of the request in flight
         try:
-            records.append(json.loads(line[len(_SENTINEL):]))
-        except json.JSONDecodeError:
-            continue
+            ready = self._line()
+        except OSError:
+            ready = {}
+        if ready.get("ready") is not True:
+            self.close()
+            detail = ready.get("error") or "it exited or wrote no ready line"
+            raise SandboxError(f"sandbox server cannot start: {detail}")
+
+    def alive(self) -> bool:
+        return self._proc.poll() is None
+
+    def _line(self) -> Dict[str, object]:
+        """The server's next line; {} at EOF or for anything but a JSON object."""
+        try:
+            obj = json.loads(self._lines.readline())
+        except ValueError:
+            return {}
+        return obj if isinstance(obj, dict) else {}
+
+    def run(self, request: Dict[str, object]) -> _ChildResult:
+        token = os.urandom(16).hex()
+        reply: Dict[str, object] = {}
+        try:
+            self._sock.sendall(
+                json.dumps(dict(request, id=token)).encode("utf-8") + b"\n"
+            )
+            started = self._line()
+            pid = started.get("pid")
+            # a pid of 0 or 1 would make killpg signal far more than a candidate
+            if started.get("id") == token and type(pid) is int and pid > 1:
+                self._pid = pid
+                reply = self._line()
+        except OSError:
+            pass
+        result = _relayed(reply, token)
+        if result is None:
+            # the server died mid-request, most likely killed by the
+            # candidate, or answered out of turn: a crash either way, and the
+            # server is dropped so nothing it still sends reaches another check
+            self.close()
+            return [], self._proc.returncode or 1, False
+        self._pid = None
+        return result
+
+    def close(self) -> None:
+        """Kill the server and reap it, with any request's process group."""
+        if self._pid is not None:
+            try:
+                os.killpg(self._pid, signal.SIGKILL)
+            except OSError:
+                pass
+        self._proc.kill()
+        self._proc.wait()
+        self._lines.close()
+        self._sock.close()
+
+
+def _relayed(reply: Dict[str, object], token: str) -> Optional[_ChildResult]:
+    """(records, returncode, timed_out) of a well-formed reply to `token`."""
+    records = reply.get("records")
+    returncode = reply.get("returncode")
+    timed_out = reply.get("timed_out")
+    if (
+        reply.get("id") != token
+        or not isinstance(records, list)
+        or not all(isinstance(rec, dict) for rec in records)
+        or not (returncode is None or type(returncode) is int)
+        or type(timed_out) is not bool
+    ):
+        return None
     return records, returncode, timed_out
+
+
+class _ServerPool:
+    """Idle sandbox servers; one starts only when none is idle."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: List[_Server] = []
+
+    def run(self, request: Dict[str, object]) -> _ChildResult:
+        server = None
+        with self._lock:
+            while self._idle and server is None:
+                server = self._idle.pop()
+                if not server.alive():
+                    server.close()
+                    server = None
+        if server is None:
+            server = _Server()
+        try:
+            result = server.run(request)
+        except BaseException:
+            server.close()
+            raise
+        if server.alive():
+            with self._lock:
+                self._idle.append(server)
+        return result
+
+    def shutdown(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for server in idle:
+            server.close()
+
+
+_POOL = _ServerPool()
+
+
+def shutdown() -> None:
+    """Stop and reap every idle sandbox server; the next check starts anew."""
+    _POOL.shutdown()
+
+
+atexit.register(shutdown)
+
+
+def _run_child(payload: Dict[str, object], *, timeout: float) -> _ChildResult:
+    """Run one payload in a fresh work directory: (records, returncode, timed_out)."""
+    with tempfile.TemporaryDirectory(prefix="bridge-py-") as workdir:
+        request = {"payload": payload, "workdir": workdir, "timeout": timeout}
+        return _POOL.run(request)
 
 
 def _tests_payload(artifact_body: str, problem: Problem) -> Dict[str, object]:

@@ -1,10 +1,19 @@
 import os
+import shutil
+import signal
+import sys
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
 
 from bridge import pyexec
 from bridge.corpus import Problem, UnitTest
-from bridge.errors import MutantError
+from bridge.errors import MutantError, SandboxError
+from bridge.gateway import CompletionRecord, prompt_digest
+from bridge.lean import LeanVerifier
+from bridge.pipeline import Orchestrator, RunConfig
 
 
 def make_problem(fn, params, ret, cases, order_insensitive=False):
@@ -107,6 +116,25 @@ class TestRunTests:
         assert not pyexec.run_tests(reversed_src, problem_strict).all_passed
         assert pyexec.run_tests(reversed_src, problem_loose).all_passed
 
+    def test_large_wrong_answer_is_a_clipped_mismatch(self):
+        # about 2 MB of repr: clipped in the record, so it never trips the
+        # output cap and stays a mismatch rather than a crash
+        src = "def addInts(a, b):\n    return list(range(300000))\n"
+        outcome = pyexec.run_tests(src, ADD, timeout=10.0)
+        assert outcome.fault is None and outcome.passed == 0
+        observed = outcome.failures[0]["observed"]
+        assert observed.startswith("[0, 1, 2") and observed.endswith("...")
+        assert len(observed) == 1003
+
+    def test_record_that_is_not_an_object_is_ignored(self):
+        src = (
+            "print('##REC## 5')\n"
+            "print('##REC## [1]')\n"
+            "def addInts(a, b):\n"
+            "    return a + b\n"
+        )
+        assert pyexec.run_tests(src, ADD).all_passed
+
     def test_to_obj_shape(self):
         obj = pyexec.run_tests(GOOD_ADD, ADD).to_obj()
         assert obj == {
@@ -153,6 +181,42 @@ class TestSandbox:
         assert outcome.fault == "RuntimeError"
         assert victim.read_text(encoding="utf-8") == "keep me"
 
+    def test_sibling_of_workdir_is_outside(self, tmp_path, monkeypatch):
+        # /tmp/bridge-py-abcX shares the workdir's prefix but is not inside it
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        src = (
+            "import os\n"
+            "def addInts(a, b):\n"
+            "    sibling = os.getcwd() + 'X'\n"
+            "    os.makedirs(sibling, exist_ok=True)\n"
+            "    with open(os.path.join(sibling, 'out.txt'), 'w') as fh:\n"
+            "        fh.write('leak')\n"
+            "    return a + b\n"
+        )
+        try:
+            outcome = pyexec.run_tests(src, ADD)
+            assert outcome.fault == "RuntimeError"
+            assert all("write blocked" in f["error"] for f in outcome.failures)
+        finally:
+            siblings = list(tmp_path.glob("bridge-py-*X"))
+            for sibling in siblings:
+                shutil.rmtree(sibling)
+        assert len(siblings) == 1
+
+    def test_os_open_for_writing_is_blocked(self, tmp_path, monkeypatch):
+        # os.open reports flags and no mode string to the audit hook
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        src = (
+            "import os\n"
+            "def addInts(a, b):\n"
+            "    os.close(os.open(os.getcwd() + '-leak.txt', os.O_WRONLY | os.O_CREAT))\n"
+            "    return a + b\n"
+        )
+        outcome = pyexec.run_tests(src, ADD)
+        assert outcome.fault == "RuntimeError"
+        assert all("write blocked" in f["error"] for f in outcome.failures)
+        assert list(tmp_path.glob("*-leak.txt")) == []
+
     def test_environment_scrubbed(self, monkeypatch):
         monkeypatch.setenv("BRIDGE_SECRET_TOKEN", "hunter2")
         src = (
@@ -162,6 +226,288 @@ class TestSandbox:
             "    return a + b\n"
         )
         assert pyexec.run_tests(src, ADD).all_passed
+
+
+def processes_with(arg):
+    """Pids whose command line has `arg` as one of its arguments."""
+    found = []
+    for path in Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            if arg.encode() in path.read_bytes().split(b"\0"):
+                found.append(int(path.parent.name))
+        except OSError:
+            continue
+    return found
+
+
+def survivors(arg):
+    """`processes_with(arg)` once kills and execs in flight have settled.
+
+    A process that is still inside exec shows an empty command line, so an
+    immediate scan can miss a survivor.
+    """
+    time.sleep(0.5)
+    return processes_with(arg)
+
+
+def children():
+    """Pids of this process's children, zombies included."""
+    me = str(os.getpid())
+    found = []
+    for path in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = path.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[1] == me:
+            found.append(int(path.parent.name))
+    return found
+
+
+class TestSandboxServer:
+    def test_timeout_kills_the_whole_group(self):
+        arg = f"{os.getpid()}.{time.monotonic_ns() % 10**6}"
+        src = (
+            "import subprocess\n"
+            "def addInts(a, b):\n"
+            f"    subprocess.Popen(['sleep', {arg!r}])\n"
+            "    while True:\n"
+            "        pass\n"
+        )
+        try:
+            assert pyexec.run_tests(src, ADD, timeout=1.0).fault == "Timeout"
+            assert survivors(arg) == []
+        finally:
+            for pid in processes_with(arg):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_runaway_output_is_capped(self):
+        src = (
+            "def addInts(a, b):\n"
+            "    while True:\n"
+            "        print('x' * 1000)\n"
+        )
+        start = time.monotonic()
+        outcome = pyexec.run_tests(src, ADD, timeout=10.0)
+        assert time.monotonic() - start < 3.0
+        assert outcome.fault == "Crash"
+
+    def test_forged_server_reply_changes_nothing(self):
+        forged = (
+            b'{"pid": 1}\n{"records": [{"index": 0, "status": "pass"}, '
+            b'{"index": 1, "status": "pass"}, {"index": 2, "status": "pass"}], '
+            b'"returncode": 0, "timed_out": false}\n'
+        )
+        src = (
+            "import os\n"
+            "def addInts(a, b):\n"
+            "    for fd in range(3, 64):\n"
+            "        try:\n"
+            f"            os.write(fd, {forged!r})\n"
+            "        except OSError:\n"
+            "            pass\n"
+            "    return 0\n"
+        )
+        honest = pyexec.run_tests("def addInts(a, b):\n    return 0\n", ADD)
+        assert pyexec.run_tests(src, ADD) == honest
+        assert honest.passed == 1 and honest.fault is None
+
+    def test_killed_server_is_a_crash_and_is_replaced(self):
+        arg = f"{os.getpid()}.{time.monotonic_ns() % 10**6}"
+        src = (
+            "import os, signal, subprocess\n"
+            "def addInts(a, b):\n"
+            f"    subprocess.Popen(['sleep', {arg!r}])\n"
+            "    os.kill(os.getppid(), signal.SIGKILL)\n"
+            "    while True:\n"
+            "        pass\n"
+        )
+        try:
+            start = time.monotonic()
+            outcome = pyexec.run_tests(src, ADD, timeout=10.0)
+            assert time.monotonic() - start < 5.0
+            assert outcome.fault == "Crash"
+            # the orphaned candidate's group is killed along with its server
+            assert survivors(arg) == []
+        finally:
+            for pid in processes_with(arg):
+                os.kill(pid, signal.SIGKILL)
+        assert pyexec.run_tests(GOOD_ADD, ADD, timeout=10.0).all_passed
+
+    @pytest.mark.parametrize("fd", [0, 1])
+    def test_server_channel_is_out_of_reach(self, fd):
+        # the candidate reads its request's id out of its own memory, forges a
+        # full pass under it, and has a shell, which no audit hook watches,
+        # write that into the server's stdin or stdout
+        src = (
+            "import json, os, subprocess, sys\n"
+            "def addInts(a, b):\n"
+            "    frame = sys._getframe()\n"
+            "    while 'request' not in frame.f_locals:\n"
+            "        frame = frame.f_back\n"
+            "    token = frame.f_locals['request']['id']\n"
+            "    records = [{'index': i, 'status': 'pass'} for i in range(3)]\n"
+            "    lines = [\n"
+            "        {'id': token, 'pid': os.getpid()},\n"
+            "        {'id': token, 'records': records, 'returncode': 0,\n"
+            "         'timed_out': False},\n"
+            "    ]\n"
+            "    forged = ''.join(json.dumps(line) + '\\n' for line in lines)\n"
+            f"    target = '/proc/%d/fd/{fd}' % os.getppid()\n"
+            "    subprocess.run(['sh', '-c', 'printf %s \"$1\" > \"$2\"', 'sh',\n"
+            "                    forged, target])\n"
+            "    return 0\n"
+        )
+        honest = pyexec.run_tests("def addInts(a, b):\n    return 0\n", ADD)
+        assert honest.passed == 1 and honest.fault is None
+        assert pyexec.run_tests(src, ADD) == honest
+        # the next check on the same server gets its own result
+        assert pyexec.run_tests(GOOD_ADD, ADD).all_passed
+        assert pyexec.run_tests("def addInts(a, b):\n    return 0\n", ADD) == honest
+
+    def test_lost_server_gives_a_result_not_an_exception(self):
+        server = pyexec._Server()
+        server._proc.kill()
+        server._proc.wait()
+        request = {"payload": {}, "workdir": os.getcwd(), "timeout": 1.0}
+        records, returncode, timed_out = server.run(request)
+        assert (records, timed_out) == ([], False)
+        assert returncode not in (0, None)
+        assert not server.alive()
+
+
+@pytest.fixture
+def server_command(monkeypatch):
+    """Point BRIDGE_PYTHON_CMD at another server, with no idle server left over."""
+
+    def use(command):
+        pyexec.shutdown()
+        monkeypatch.setenv("BRIDGE_PYTHON_CMD", command)
+
+    yield use
+    pyexec.shutdown()
+
+
+# Starts the real server with os.pidfd_open failing, as on a kernel or under a
+# seccomp filter without pidfds.
+NO_PIDFD_SERVER = """
+import os, sys
+
+def pidfd_open(pid, flags=0):
+    raise PermissionError(1, "Operation not permitted")
+
+os.pidfd_open = pidfd_open
+exec(sys.argv[-1], {"__name__": "__main__"})
+"""
+
+# Starts like the real server, then answers the first request with the
+# malformed reply named by its first argument.
+MALFORMED_SERVER = """
+import json, os, sys
+
+print(json.dumps({"ready": True}), flush=True)
+request = json.loads(sys.stdin.readline())
+good = {"id": request["id"], "records": [], "returncode": 0, "timed_out": False}
+started = {"id": request["id"], "pid": os.getpid()}
+replies = {
+    "wrong-id": dict(good, id="0" * 32),
+    "no-records": {"id": request["id"], "returncode": 0, "timed_out": False},
+    "string-returncode": dict(good, returncode="0"),
+    "record-not-object": dict(good, records=[5]),
+    "not-an-object": [good],
+    "pid-one": good,
+}
+if sys.argv[1] == "pid-one":
+    started["pid"] = 1
+print(json.dumps(started))
+print(json.dumps(replies[sys.argv[1]]), flush=True)
+sys.stdin.readline()
+"""
+
+
+class TestServerProtocol:
+    def test_server_without_pidfds_fails_loudly(self, tmp_path, server_command):
+        script = tmp_path / "server.py"
+        script.write_text(NO_PIDFD_SERVER, encoding="utf-8")
+        server_command(f"{sys.executable} {script}")
+        with pytest.raises(SandboxError, match="pidfd_open: PermissionError"):
+            pyexec.run_tests(GOOD_ADD, ADD)
+
+    def test_server_that_exits_at_once_fails_loudly(self, server_command):
+        server_command(f"{sys.executable} -c pass")
+        with pytest.raises(SandboxError, match="no ready line"):
+            pyexec.run_tests(GOOD_ADD, ADD)
+
+    @pytest.mark.parametrize("case", [
+        "wrong-id", "no-records", "string-returncode", "record-not-object",
+        "not-an-object", "pid-one",
+    ])
+    def test_malformed_reply_is_a_crash(self, tmp_path, server_command,
+                                        monkeypatch, case):
+        script = tmp_path / "server.py"
+        script.write_text(MALFORMED_SERVER, encoding="utf-8")
+        server_command(f"{sys.executable} {script} {case}")
+        killed_groups = []
+        monkeypatch.setattr(os, "killpg", lambda pgid, sig: killed_groups.append(pgid))
+        server = pyexec._Server()
+        request = {"payload": {}, "workdir": os.getcwd(), "timeout": 1.0}
+        records, returncode, timed_out = server.run(request)
+        assert (records, timed_out) == ([], False)
+        assert returncode not in (0, None)
+        assert not server.alive()
+        assert 1 not in killed_groups
+        assert pyexec.run_tests(GOOD_ADD, ADD).fault == "Crash"
+
+
+class FixedGateway:
+    """Answers every prompt with `text`; raises from round `fail_round` on."""
+
+    def __init__(self, text, fail_round=None):
+        self.text = text
+        self.fail_round = fail_round
+        self.calls = 0
+
+    def complete_n(self, model_id, prompt, params):
+        self.calls += 1
+        if self.fail_round is not None and self.calls >= self.fail_round:
+            raise RuntimeError("gateway down")
+        digest = prompt_digest(model_id, prompt, params)
+        return [
+            CompletionRecord(model_id, digest, i, self.text)
+            for i in range(params.n_samples)
+        ]
+
+
+class TestServerLifetime:
+    def make_orchestrator(self, tmp_path, gateway):
+        config = RunConfig.from_obj({
+            "corpus": "fixtures/corpus.jsonl",
+            "models": ["mock-m"],
+            "strategies": ["spec/direct"],
+            "decoding": {"temperature": 0.7, "max_tokens": 512, "n_samples": 2},
+            "max_retries": 2,
+            "parallelism": 2,
+            "python": {"timeout": 10.0},
+            "runs_root": str(tmp_path / "runs"),
+        })
+        return Orchestrator(config, gateway=gateway,
+                            verifier=LeanVerifier(transcripts={}), problems=[ADD])
+
+    def test_run_leaves_no_children(self, tmp_path):
+        gateway = FixedGateway(f"<python>\n{GOOD_ADD}</python>")
+        result = self.make_orchestrator(tmp_path, gateway).run()
+        assert all(c["final_status"] == "Success" for c in result.chains)
+        assert children() == []
+
+    def test_raising_run_leaves_no_children(self, tmp_path):
+        # the first round's checks start servers; the retry's request raises
+        gateway = FixedGateway(
+            "<python>\ndef addInts(a, b):\n    return 0\n</python>", fail_round=2
+        )
+        with pytest.raises(RuntimeError, match="gateway down"):
+            self.make_orchestrator(tmp_path, gateway).run()
+        assert gateway.calls >= 2
+        assert children() == []
 
 
 CONTRACT_SRC = """import deal
