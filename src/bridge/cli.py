@@ -20,7 +20,7 @@ from .errors import (
     CorpusError,
     ReplayMissError,
 )
-from .pipeline import Orchestrator, RunConfig, run_sweep, write_report
+from .pipeline import Orchestrator, RunConfig, RunResult, run_sweep, write_report
 from .prompts import list_strategies
 
 
@@ -100,14 +100,29 @@ def _cmd_strategies(_args) -> int:
     return 0
 
 
+def _warn_unverified(result: RunResult) -> None:
+    """One stderr line when some chains could not be checked by Lean."""
+    missing = sum(
+        1 for chain in result.chains if chain["annotations"].get("lean_unavailable")
+    )
+    if missing:
+        print(
+            f"warning: {missing} of {len(result.chains)} chains had no Lean "
+            "verdict (no Lean toolchain or transcript)",
+            file=sys.stderr,
+        )
+
+
 def _cmd_run(args, forced_mode: Optional[str] = None) -> int:
     config = _load_config(args, forced_mode)
     if getattr(args, "sweep", False):
         for temperature, result in run_sweep(config):
             print(f"{result.run_id} temperature={temperature} dir={result.run_dir}")
+            _warn_unverified(result)
         return 0
     result = Orchestrator(config).run()
     print(f"{result.run_id} chains={len(result.chains)} dir={result.run_dir}")
+    _warn_unverified(result)
     return 0
 
 
@@ -132,6 +147,7 @@ def _cmd_replay(args) -> int:
     config = RunConfig.from_obj(obj)
     result = Orchestrator(config).run()
     print(f"{result.run_id} chains={len(result.chains)} dir={result.run_dir}")
+    _warn_unverified(result)
     return 0
 
 

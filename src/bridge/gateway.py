@@ -166,6 +166,8 @@ class ModelGateway:
         self.backoff_base = backoff_base
         self._digest_locks: Dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
+        # parsed archive files by digest; record mode stores what it writes
+        self._archive: Dict[str, dict] = {}
         self._script: Optional[dict] = None
         if mode == "mock":
             if script is None:
@@ -259,10 +261,20 @@ class ModelGateway:
         return self.archive_dir / f"{digest}.json"
 
     def _load_archive(self, digest: str) -> Optional[dict]:
-        path = self._archive_path(digest)
-        if not path.exists():
+        """The archive entry for a digest, read from disk at most once.
+
+        Misses are not cached, so an entry recorded later is still found.
+        """
+        entry = self._archive.get(digest)
+        if entry is not None:
+            return entry
+        try:
+            text = self._archive_path(digest).read_text(encoding="utf-8")
+        except FileNotFoundError:
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        entry = json.loads(text)
+        self._archive[digest] = entry
+        return entry
 
     def _replay_records(
         self, model_id: str, digest: str, n: int
@@ -326,6 +338,7 @@ class ModelGateway:
                 encoding="utf-8",
             )
             os.replace(tmp, self._archive_path(digest))
+            self._archive[digest] = payload
             return records
 
     # -- live -----------------------------------------------------------------

@@ -8,6 +8,7 @@ machines without Lean installed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -186,27 +187,39 @@ def build_source(
         parts.append("\n".join(header))
     parts.append(artifact_body.rstrip("\n"))
     if include_tests and problem is not None:
-        guards = []
-        param_nodes = [literals.parse_type(t) for _, t in problem.params]
-        return_node = literals.parse_type(problem.return_type)
-        for index, test in enumerate(problem.tests):
-            try:
-                args = " ".join(
-                    _guarded(literals.encode_lean(literals.parse_literal(text), node))
-                    for text, node in zip(test.inputs, param_nodes)
-                )
-                expected = literals.encode_lean(
-                    literals.parse_literal(test.expected), return_node
-                )
-            except CorpusError as exc:
-                raise CorpusError(
-                    f"problem {problem.id} test {index} is not Lean-encodable: {exc}"
-                ) from None
-            guards.append(
-                f"#guard {problem.function_name} {args} == {expected} -- test {index}"
-            )
-        parts.append("\n".join(guards))
+        parts.append(_guard_block(problem))
     return "\n\n".join(parts) + "\n"
+
+
+@functools.lru_cache(maxsize=1024)
+def _guard_block(problem: Problem) -> str:
+    """The #guard lines encoding every unit test of one problem.
+
+    Cached per problem, since a run scaffolds the same few problems
+    thousands of times; the bound keeps a long-lived process that loads
+    many corpora from growing without limit. A CorpusError is not cached,
+    so it is raised on every call.
+    """
+    guards = []
+    param_nodes = [literals.parse_type(t) for _, t in problem.params]
+    return_node = literals.parse_type(problem.return_type)
+    for index, test in enumerate(problem.tests):
+        try:
+            args = " ".join(
+                _guarded(literals.encode_lean(literals.parse_literal(text), node))
+                for text, node in zip(test.inputs, param_nodes)
+            )
+            expected = literals.encode_lean(
+                literals.parse_literal(test.expected), return_node
+            )
+        except CorpusError as exc:
+            raise CorpusError(
+                f"problem {problem.id} test {index} is not Lean-encodable: {exc}"
+            ) from None
+        guards.append(
+            f"#guard {problem.function_name} {args} == {expected} -- test {index}"
+        )
+    return "\n".join(guards)
 
 
 def _guarded(expr: str) -> str:
@@ -251,6 +264,7 @@ class LeanVerifier:
         )
         self._runner = runner
         self._transcripts: Optional[Dict[str, Mapping]] = None
+        self._transcript_outcomes: Dict[str, VerificationOutcome] = {}
         if transcripts is not None:
             if isinstance(transcripts, (str, Path)):
                 try:
@@ -326,15 +340,24 @@ class LeanVerifier:
         )
 
     def _check_transcript(self, project: LeanProject) -> VerificationOutcome:
+        # The digest fixes the source, and the source fixes the outcome, so
+        # each digest is interpreted once per verifier. Live compiles are
+        # never reused: one can time out where another would not.
+        outcome = self._transcript_outcomes.get(project.digest)
+        if outcome is not None:
+            return outcome
         entry = self._transcripts.get(project.digest)
         if entry is None:
-            return _tool_missing(project)
-        return self._interpret(
-            project,
-            int(entry.get("returncode", 1)),
-            entry.get("output", ""),
-            float(entry.get("elapsed", 0.0)),
-        )
+            outcome = _tool_missing(project)
+        else:
+            outcome = self._interpret(
+                project,
+                int(entry.get("returncode", 1)),
+                entry.get("output", ""),
+                float(entry.get("elapsed", 0.0)),
+            )
+        self._transcript_outcomes[project.digest] = outcome
+        return outcome
 
     def _interpret(
         self, project: LeanProject, returncode: int, output: str, elapsed: float

@@ -18,6 +18,7 @@ import atexit
 import copy
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -709,9 +710,17 @@ atexit.register(shutdown)
 
 def _run_child(payload: Dict[str, object], *, timeout: float) -> _ChildResult:
     """Run one payload in a fresh work directory: (records, returncode, timed_out)."""
-    with tempfile.TemporaryDirectory(prefix="bridge-py-") as workdir:
+    workdir = tempfile.mkdtemp(prefix="bridge-py-")
+    try:
         request = {"payload": payload, "workdir": workdir, "timeout": timeout}
         return _POOL.run(request)
+    finally:
+        # Candidates rarely leave files, and rmdir of an empty directory is
+        # far cheaper than a tree walk.
+        try:
+            os.rmdir(workdir)
+        except OSError:
+            shutil.rmtree(workdir, ignore_errors=True)
 
 
 def _tests_payload(artifact_body: str, problem: Problem) -> Dict[str, object]:

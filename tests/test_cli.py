@@ -85,6 +85,33 @@ class TestRunCommand:
         assert "transcript bank not found" in err
 
 
+class TestUnverifiedWarning:
+    def test_warns_when_no_lean_verdict(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("BRIDGE_LEAN_CMD", str(tmp_path / "no-such-lean"))
+        code, out, err = run_cli(
+            capsys, "run", "--config", MINI_CONFIG,
+            "--runs-root", str(tmp_path / "runs"),
+            "--override", "lean.transcripts=null")
+        assert code == 0, err
+        assert out.startswith("run-") and "warning" not in out
+        chains = [json.loads(line) for line in (
+            tmp_path / "runs" / out.split()[0] / "chains.jsonl").open()]
+        unverified = [c for c in chains if c["annotations"].get("lean_unavailable")]
+        # NoArtifact chains never reach a check, so not all 60 are counted
+        assert len(unverified) == 54
+        assert err.splitlines() == [
+            "warning: 54 of 60 chains had no Lean verdict "
+            "(no Lean toolchain or transcript)"
+        ]
+
+    def test_silent_with_committed_transcripts(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "run", "--config", MINI_CONFIG,
+            "--runs-root", str(tmp_path / "runs"))
+        assert code == 0
+        assert err == ""
+
+
 class TestReplayAndReport:
     @pytest.fixture()
     def finished_run(self, capsys, tmp_path):
@@ -106,6 +133,7 @@ class TestReplayAndReport:
         replayed = (runs_root / run_id).parent.joinpath(
             new_dir.rsplit("/", 1)[-1], "chains.jsonl").read_bytes()
         assert original == replayed
+        assert err == ""
 
     def test_replay_unknown_run(self, capsys, tmp_path):
         code, _, err = run_cli(

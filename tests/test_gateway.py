@@ -256,6 +256,61 @@ class TestRecordReplay:
         recs = rep.complete_n("m", "prompt", P)
         assert [r.text for r in recs] == ["a"]
 
+    def test_replay_reads_each_archive_file_once(self, tmp_path, monkeypatch):
+        self.setup_env(monkeypatch)
+        arch = tmp_path / "arch"
+        rec = ModelGateway("record", providers=PROVIDERS, archive_dir=arch,
+                           transport=transport_returning(["a", "b"]))
+        p2 = DecodingParams(temperature=0.7, max_tokens=256, n_samples=2, seed=5)
+        rec.complete_n("m", "one", p2)
+        rec.complete_n("m", "two", p2)
+        reads = []
+        real = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            reads.append(path.name)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        rep = ModelGateway("replay", archive_dir=arch)
+        for _ in range(3):
+            assert [r.text for r in rep.complete_n("m", "one", p2)] == ["a", "b"]
+            assert [r.text for r in rep.complete_n("m", "two", P)] == ["a"]
+        assert sorted(reads) == sorted(
+            f"{prompt_digest('m', prompt, P)}.json" for prompt in ("one", "two"))
+
+    def test_archive_file_removed_after_lookup_is_a_miss(self, tmp_path, monkeypatch):
+        # a file that a stat saw but a read does not find is still a miss
+        monkeypatch.setattr(Path, "exists", lambda path: True)
+        gw = ModelGateway("replay", archive_dir=tmp_path / "arch")
+        with pytest.raises(ReplayMissError):
+            gw.complete_n("m", "prompt", P)
+
+    def test_replay_miss_is_not_cached(self, tmp_path, monkeypatch):
+        self.setup_env(monkeypatch)
+        arch = tmp_path / "arch"
+        rep = ModelGateway("replay", archive_dir=arch)
+        with pytest.raises(ReplayMissError):
+            rep.complete_n("m", "prompt", P)
+        ModelGateway("record", providers=PROVIDERS, archive_dir=arch,
+                     transport=transport_returning(["late"])).complete_n("m", "prompt", P)
+        assert [r.text for r in rep.complete_n("m", "prompt", P)] == ["late"]
+
+    def test_record_more_samples_replaces_cached_entry(self, tmp_path, monkeypatch):
+        self.setup_env(monkeypatch)
+        arch = tmp_path / "arch"
+        calls = []
+        gw = ModelGateway("record", providers=PROVIDERS, archive_dir=arch,
+                          transport=transport_returning(["x", "y"], calls))
+        p2 = DecodingParams(temperature=0.7, max_tokens=256, n_samples=2, seed=5)
+        assert len(gw.complete_n("m", "prompt", P)) == 1
+        assert [r.text for r in gw.complete_n("m", "prompt", p2)] == ["x", "y"]
+        assert [r.text for r in gw.complete_n("m", "prompt", p2)] == ["x", "y"]
+        assert calls == [1, 2]
+        digest = prompt_digest("m", "prompt", P)
+        payload = json.loads((arch / f"{digest}.json").read_text(encoding="utf-8"))
+        assert len(payload["records"]) == 2
+
     def test_archive_dir_required(self):
         with pytest.raises(ConfigError):
             ModelGateway("replay")

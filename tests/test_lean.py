@@ -136,9 +136,11 @@ class TestBuildSource:
 
         bad = problem.tests[0].__class__(inputs=("1.5",), expected="2")
         broken = dataclasses.replace(problem, tests=(bad,))
-        with pytest.raises(CorpusError) as err:
-            build_source("def f : Int := 1", broken)
-        assert "climbing-stairs" in str(err.value) and "test 0" in str(err.value)
+        # guard blocks are cached per problem; the failure must not be
+        for _ in range(2):
+            with pytest.raises(CorpusError) as err:
+                build_source("def f : Int := 1", broken)
+            assert "climbing-stairs" in str(err.value) and "test 0" in str(err.value)
 
 
 def make_runner(returncode=0, stdout="", stderr="", raise_timeout=False):
@@ -267,6 +269,32 @@ class TestVerifierTranscripts:
         outcome = v.check(project)
         assert outcome.status is VerifyStatus.COMPILE_FAILED
         assert runner.calls == []
+
+    def test_transcript_interpreted_once_per_digest(self, tmp_path, monkeypatch):
+        import bridge.lean as lean
+
+        calls = []
+        real = lean.parse_diagnostics
+        monkeypatch.setattr(
+            lean, "parse_diagnostics", lambda out: calls.append(out) or real(out)
+        )
+        out = "Candidate.lean:1:0: error: unknown identifier 'g'\n"
+        v, project = self.build(tmp_path, "def f : Int := g",
+                                {"returncode": 1, "output": out})
+        first = v.check(project)
+        second = v.check(v.scaffold("def f : Int := g", None, include_tests=False))
+        assert len(calls) == 1
+        assert first == second
+        assert first.error_classes == frozenset({ErrorClass.UNKNOWN_IDENTIFIER})
+
+    def test_live_checks_are_never_reused(self, tmp_path):
+        runner = make_runner(returncode=0, stdout="")
+        v = LeanVerifier(command=["true"], runner=runner,
+                         workdir_factory=lambda: tmp_path / "r0")
+        project = v.scaffold("def f : Int := 1", None, include_tests=False)
+        v.check(project)
+        v.check(project)
+        assert len(runner.calls) == 2
 
     def test_transcripts_loaded_from_file(self, tmp_path):
         import json

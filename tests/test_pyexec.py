@@ -217,6 +217,18 @@ class TestSandbox:
         assert all("write blocked" in f["error"] for f in outcome.failures)
         assert list(tmp_path.glob("*-leak.txt")) == []
 
+    @pytest.mark.parametrize("leftover", [
+        "",
+        "    open('scratch.txt', 'w').close()\n",
+        "    os.makedirs('a/b', exist_ok=True)\n"
+        "    open('a/b/scratch.txt', 'w').close()\n",
+    ], ids=["empty", "one-file", "nested"])
+    def test_work_directory_removed(self, tmp_path, monkeypatch, leftover):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        src = "import os\ndef addInts(a, b):\n" + leftover + "    return a + b\n"
+        assert pyexec.run_tests(src, ADD).all_passed
+        assert list(tmp_path.glob("bridge-py-*")) == []
+
     def test_environment_scrubbed(self, monkeypatch):
         monkeypatch.setenv("BRIDGE_SECRET_TOKEN", "hunter2")
         src = (
