@@ -323,15 +323,8 @@ class LeanVerifier:
             elapsed = time.monotonic() - start
         except subprocess.TimeoutExpired as exc:
             elapsed = time.monotonic() - start
-            output = _expired_output(exc)
-            diags = tuple(parse_diagnostics(output))
-            classes = classify(diags, project.source_text) | {ErrorClass.TIMEOUT}
-            return VerificationOutcome(
-                status=VerifyStatus.TIMEOUT,
-                diagnostics=diags,
-                error_classes=frozenset(classes),
-                sorry_count=count_sorries(project.source_text),
-                elapsed=elapsed,
+            return self._interpret(
+                project, None, _expired_output(exc), elapsed, timed_out=True
             )
         finally:
             shutil.rmtree(root, ignore_errors=True)
@@ -360,13 +353,21 @@ class LeanVerifier:
         return outcome
 
     def _interpret(
-        self, project: LeanProject, returncode: int, output: str, elapsed: float
+        self,
+        project: LeanProject,
+        returncode: Optional[int],
+        output: str,
+        elapsed: float,
+        timed_out: bool = False,
     ) -> VerificationOutcome:
         diags = tuple(parse_diagnostics(output))
         sorries = count_sorries(project.source_text)
         classes = classify(diags, project.source_text)
         has_errors = any(d.severity == "error" for d in diags)
-        if returncode == 0 and not has_errors and sorries == 0:
+        if timed_out:
+            status = VerifyStatus.TIMEOUT
+            classes = classes | {ErrorClass.TIMEOUT}
+        elif returncode == 0 and not has_errors and sorries == 0:
             status = VerifyStatus.VERIFIED
         else:
             status = VerifyStatus.COMPILE_FAILED

@@ -548,7 +548,9 @@ class Orchestrator:
             and self.config.spec_checks["cross_feedback"]
             and artifact is not None
         ):
-            lean_feedback = self._lean_feedback(problem, model, round_obj)
+            lean_feedback = self._lean_feedback(
+                problem, model, round_obj, annotations
+            )
             if lean_feedback is not None:
                 return self.catalog.render_feedback(
                     "lean-refinement",
@@ -561,15 +563,15 @@ class Orchestrator:
                         "lean_feedback": lean_feedback,
                     },
                 )
-            annotations["lean_unavailable"] = True
         return self.catalog.render_retry(
             previous, errors, round_index=round_no, max_rounds=self.config.max_retries
         )
 
     def _lean_feedback(
-        self, problem: Problem, model: str, round_obj: Dict
+        self, problem: Problem, model: str, round_obj: Dict, annotations: Dict
     ) -> Optional[str]:
-        """Second-stage translation check; None when Lean cannot weigh in."""
+        """Second-stage translation check; None, with an annotation saying
+        why, when Lean cannot weigh in."""
         values = dict(problem_values(problem))
         values["python_source"] = round_obj["artifact"]["body"]
         prompt = self.catalog.render_feedback("lean-translation", values)
@@ -577,6 +579,7 @@ class Orchestrator:
         try:
             artifact = extract_artifacts(record.text, "code")[0]
         except NoArtifactError:
+            annotations["cross_feedback_no_artifact"] = True
             return None
         project = self.verifier.scaffold(artifact.body, problem, include_tests=False)
         outcome = self.verifier.check(project)
@@ -587,6 +590,7 @@ class Orchestrator:
             "outcome": outcome.to_obj(),
         }
         if outcome.status is VerifyStatus.TOOL_MISSING:
+            annotations["lean_unavailable"] = True
             return None
         return "\n".join(_diagnostic_lines(outcome, "Lean verification status:"))
 

@@ -1,14 +1,13 @@
 """Sandboxed execution backend for Python candidate solutions.
 
-Candidates run outside this process, in a warm sandbox server: a
-long-lived, single-threaded interpreter with a scrubbed environment that
-has the runner and a stubbed `deal` contracts module loaded.  For each
-check the server forks a grandchild in its own session, which installs a
-write-blocking audit hook, runs the candidate in a fresh work directory
-and reports over a pipe with sentinel-prefixed lines, so candidate prints
-cannot corrupt the protocol.  The server kills the grandchild's process
-group on timeout or past the output cap, reaps it, and relays the records.
-Forking in the server keeps `fork` out of the threaded orchestrator.
+Candidates run outside this process, in a warm sandbox server
+(`bridge.sandbox_server`) with a scrubbed environment.  For each check the
+server forks a grandchild in its own session, which installs a write-blocking
+audit hook and calls the candidate on the inputs it was sent, in a fresh work
+directory.  The server kills the grandchild's process group on timeout or
+past the output cap, reaps it, and relays one record per call.  Forking in
+the server keeps `fork` out of the threaded orchestrator.  Expected values
+never leave this process: the verdict compares their fingerprints here.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import atexit
 import copy
 import json
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -25,9 +25,11 @@ import sys
 import tempfile
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .corpus import Problem
+from . import sandbox_server
+from .corpus import Problem, UnitTest
 from .errors import MutantError, SandboxError
 
 DEFAULT_TIMEOUT = 5.0
@@ -36,6 +38,9 @@ DEFAULT_RANDOM_TRIALS = 25
 
 # env vars the child is allowed to inherit
 _ENV_ALLOW = ("PATH", "LANG", "LC_ALL", "PYTHONIOENCODING", "SYSTEMROOT")
+
+# run as `<python> -I -c <text>`, so that BRIDGE_PYTHON_CMD wrappers need no file
+_SERVER_SOURCE = Path(sandbox_server.__file__).read_text(encoding="utf-8")
 
 MUTANT_NAMES = (
     "const-return-zero",
@@ -113,439 +118,6 @@ class VacuityReport:
         }
 
 
-# The sandbox server.  Kept dependency-free.  It first writes a line saying
-# whether it can serve, then reads one JSON request per line on stdin and
-# answers each with a line naming the grandchild's pid, then a line with the
-# records the grandchild emitted, its return code and whether it timed out.
-# Both answers echo the request's id.
-_SERVER_PROGRAM = r'''
-import json
-import os
-import random
-import select
-import signal
-import sys
-import time
-import types
-
-SENTINEL = "##REC## "
-OUTPUT_CAP = 1 << 20
-# longest text a record carries, so that honest records stay far below the cap
-TEXT_CAP = 1000
-WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_TRUNC
-
-
-def emit(rec):
-    sys.stdout.write(SENTINEL + json.dumps(rec) + "\n")
-    sys.stdout.flush()
-
-
-def clip(text):
-    return text if len(text) <= TEXT_CAP else text[:TEXT_CAP] + "..."
-
-
-def install_sandbox(workdir):
-    root = os.path.realpath(workdir)
-
-    def inside(target):
-        return os.path.commonpath([root, target]) == root
-
-    def hook(event, args):
-        if event == "open":
-            path, mode, flags = args[0], args[1], args[2]
-            if mode is None:
-                writes = flags & WRITE_FLAGS  # os.open gives flags, not a mode
-            else:
-                writes = any(ch in mode for ch in "wax+")
-            if writes:
-                target = os.path.realpath(str(path))
-                if not inside(target):
-                    raise RuntimeError("write blocked outside sandbox: %s" % target)
-        elif event in ("os.remove", "os.rename", "shutil.rmtree"):
-            target = os.path.realpath(str(args[0]))
-            if not inside(target):
-                raise RuntimeError("file mutation blocked outside sandbox: %s" % target)
-
-    sys.addaudithook(hook)
-
-
-class ContractError(Exception):
-    pass
-
-
-class PreContractError(ContractError):
-    pass
-
-
-class PostContractError(ContractError):
-    pass
-
-
-class InvContractError(ContractError):
-    pass
-
-
-def _make_deal():
-    deal = types.ModuleType("deal")
-    deal.ContractError = ContractError
-    deal.PreContractError = PreContractError
-    deal.PostContractError = PostContractError
-    deal.InvContractError = InvContractError
-
-    def pre(validator, *a, **k):
-        def deco(fn):
-            def wrapped(*args, **kwargs):
-                try:
-                    ok = validator(*args, **kwargs)
-                except ContractError:
-                    raise
-                except Exception as exc:
-                    raise PreContractError(str(exc))
-                if ok is False:
-                    raise PreContractError("precondition failed")
-                return fn(*args, **kwargs)
-
-            wrapped.__name__ = getattr(fn, "__name__", "wrapped")
-            return wrapped
-
-        return deco
-
-    def post(validator, *a, **k):
-        def deco(fn):
-            def wrapped(*args, **kwargs):
-                result = fn(*args, **kwargs)
-                try:
-                    ok = validator(result)
-                except ContractError:
-                    raise
-                except Exception as exc:
-                    raise PostContractError(str(exc))
-                if ok is False:
-                    raise PostContractError("postcondition failed")
-                return result
-
-            wrapped.__name__ = getattr(fn, "__name__", "wrapped")
-            return wrapped
-
-        return deco
-
-    def ensure(validator, *a, **k):
-        def deco(fn):
-            def wrapped(*args, **kwargs):
-                result = fn(*args, **kwargs)
-                try:
-                    ok = validator(*args, result=result, **kwargs)
-                except ContractError:
-                    raise
-                except Exception as exc:
-                    raise PostContractError(str(exc))
-                if ok is False:
-                    raise PostContractError("postcondition failed")
-                return result
-
-            wrapped.__name__ = getattr(fn, "__name__", "wrapped")
-            return wrapped
-
-        return deco
-
-    def inv(validator, *a, **k):
-        def deco(cls):
-            original_setattr = cls.__setattr__
-
-            def checked_setattr(self, name, value):
-                original_setattr(self, name, value)
-                try:
-                    ok = validator(self)
-                except ContractError:
-                    raise
-                except Exception as exc:
-                    raise InvContractError(str(exc))
-                if ok is False:
-                    raise InvContractError("invariant failed")
-
-            cls.__setattr__ = checked_setattr
-            return cls
-
-        return deco
-
-    def _identity(*a, **k):
-        if len(a) == 1 and callable(a[0]) and not k:
-            return a[0]
-
-        def deco(fn):
-            return fn
-
-        return deco
-
-    def _config(*a, **k):
-        # always parenthesized (deal.raises(ValueError)); the arguments are
-        # configuration, never the decorated function
-        def deco(fn):
-            return fn
-
-        return deco
-
-    def chain(*decos):
-        def deco(fn):
-            for d in reversed(decos):
-                fn = d(fn)
-            return fn
-
-        return deco
-
-    deal.pre = pre
-    deal.post = post
-    deal.ensure = ensure
-    deal.inv = inv
-    deal.safe = _identity
-    deal.raises = _config
-    deal.reason = _config
-    deal.has = _config
-    deal.pure = _identity
-    deal.chain = chain
-    return deal
-
-
-def structural_eq(a, b):
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool) and a == b
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    if isinstance(a, str) and isinstance(b, str):
-        return a == b
-    if isinstance(a, list) and isinstance(b, list):
-        if len(a) != len(b):
-            return False
-        return all(structural_eq(x, y) for x, y in zip(a, b))
-    return False
-
-
-def multiset_eq(a, b):
-    if not isinstance(a, list) or not isinstance(b, list) or len(a) != len(b):
-        return False
-
-    def key(v):
-        try:
-            return json.dumps(v, sort_keys=True)
-        except TypeError:
-            return repr(v)
-
-    sa = sorted(a, key=key)
-    sb = sorted(b, key=key)
-    return all(structural_eq(x, y) for x, y in zip(sa, sb))
-
-
-def gen_value(rng, type_text):
-    t = type_text.strip()
-    if t.startswith("(") and t.endswith(")"):
-        t = t[1:-1].strip()
-    if t == "Int":
-        return rng.randint(-1000000, 1000000)
-    if t == "Nat":
-        return rng.randint(0, 1000000)
-    if t == "Bool":
-        return rng.random() < 0.5
-    if t == "String":
-        letters = "abcdefghijklmnopqrstuvwxyz"
-        return "".join(rng.choice(letters) for _ in range(rng.randint(0, 32)))
-    if t.startswith("List"):
-        inner = t[4:].strip()
-        bound = 32 if not inner.startswith("List") and not inner.startswith("(") else 6
-        return [gen_value(rng, inner) for _ in range(rng.randint(0, bound))]
-    raise ValueError("cannot generate values of type %s" % type_text)
-
-
-def load_candidate(source, function_name):
-    module = types.ModuleType("candidate")
-    module.__dict__["__name__"] = "candidate"
-    exec(compile(source, "<candidate>", "exec"), module.__dict__)
-    fn = module.__dict__.get(function_name)
-    if fn is None or not callable(fn):
-        raise RuntimeError("candidate does not define function %s" % function_name)
-    return fn
-
-
-def run_mode_tests(payload, fn):
-    for i, test in enumerate(payload["tests"]):
-        inputs = test["inputs"]
-        expected = test["expected"]
-        try:
-            observed = fn(*inputs)
-        except Exception as exc:
-            emit({
-                "index": i,
-                "status": "error",
-                "error": clip("%s: %s" % (type(exc).__name__, exc)),
-            })
-            continue
-        if test.get("order_insensitive"):
-            same = multiset_eq(observed, expected)
-        else:
-            same = structural_eq(observed, expected)
-        if same:
-            emit({"index": i, "status": "pass"})
-        else:
-            emit({
-                "index": i,
-                "status": "fail",
-                "observed": clip(repr(observed)),
-                "expected": clip(repr(expected)),
-            })
-
-
-def run_mode_contracts(payload, fn):
-    rng = random.Random(payload["seed"])
-    inputs_list = [list(t["inputs"]) for t in payload.get("tests", [])]
-    param_types = payload["param_types"]
-    for _ in range(payload["trials"]):
-        inputs_list.append([gen_value(rng, t) for t in param_types])
-    for i, inputs in enumerate(inputs_list):
-        try:
-            fn(*inputs)
-        except PreContractError:
-            emit({"index": i, "kind": "pre"})
-        except PostContractError:
-            emit({"index": i, "kind": "post"})
-        except (AssertionError, InvContractError):
-            emit({"index": i, "kind": "inv"})
-        except Exception as exc:
-            emit({"index": i, "kind": "fault", "error": type(exc).__name__})
-        else:
-            emit({"index": i, "kind": "ok"})
-
-
-def run_candidate(request):
-    payload = request["payload"]
-    sys.modules["deal"] = DEAL
-    install_sandbox(request["workdir"])
-    try:
-        fn = load_candidate(payload["source"], payload["function_name"])
-    except BaseException as exc:
-        emit({"status": "crash", "error": clip("%s: %s" % (type(exc).__name__, exc))})
-        return 3
-    if payload["mode"] == "tests":
-        run_mode_tests(payload, fn)
-    else:
-        run_mode_contracts(payload, fn)
-    return 0
-
-
-def grandchild(request, record_fd):
-    """Run one request in this forked process; never returns."""
-    code = 1  # an uncaught exception exits 1, as in a fresh interpreter
-    try:
-        os.setsid()
-        null = os.open(os.devnull, os.O_RDWR)
-        os.dup2(null, 0)
-        os.dup2(record_fd, 1)
-        os.dup2(null, 2)
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        os.chdir(request["workdir"])
-        os.environ["HOME"] = request["workdir"]
-        code = run_candidate(request)
-    except SystemExit as exc:
-        if exc.code is None:
-            code = 0
-        elif isinstance(exc.code, int):
-            code = exc.code & 0xFF
-    finally:
-        try:
-            sys.stdout.flush()
-        finally:
-            os._exit(code)
-
-
-def reply(out, obj):
-    out.write(json.dumps(obj).encode("ascii") + b"\n")
-    out.flush()
-
-
-def serve(request, out):
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        grandchild(request, write_fd)
-    os.close(write_fd)
-    reply(out, {"id": request["id"], "pid": pid})
-    exit_fd = os.pidfd_open(pid)
-    deadline = time.monotonic() + request["timeout"]
-    chunks = []
-    size = 0
-    timed_out = overflow = False
-    watched = [read_fd, exit_fd]
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            timed_out = True
-            break
-        ready = select.select(watched, [], [], remaining)[0]
-        if read_fd in ready:
-            chunk = os.read(read_fd, 1 << 16)
-            if not chunk:
-                watched.remove(read_fd)
-                continue
-            chunks.append(chunk)
-            size += len(chunk)
-            if size > OUTPUT_CAP:
-                overflow = True
-                break
-        elif exit_fd in ready:
-            break
-    # the grandchild is not reaped yet, so its pid still names its group;
-    # whatever it left running goes with it
-    try:
-        os.killpg(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        # no such group: the grandchild ended, or is still alive, before its setsid()
-        os.kill(pid, signal.SIGKILL)
-    status = os.waitpid(pid, 0)[1]
-    os.close(read_fd)
-    os.close(exit_fd)
-    if timed_out:
-        returncode = None
-    elif overflow:
-        returncode = -signal.SIGKILL
-    else:
-        returncode = os.waitstatus_to_exitcode(status)
-    records = []
-    text = b"".join(chunks)[:OUTPUT_CAP].decode("utf-8", errors="replace")
-    for line in text.splitlines():
-        if line.startswith(SENTINEL):
-            try:
-                rec = json.loads(line[len(SENTINEL):])
-            except ValueError:
-                continue
-            if isinstance(rec, dict):
-                records.append(rec)
-    reply(out, {
-        "id": request["id"],
-        "records": records,
-        "returncode": returncode,
-        "timed_out": timed_out,
-    })
-
-
-DEAL = _make_deal()
-
-
-def main():
-    requests = sys.stdin.buffer
-    out = sys.stdout.buffer
-    try:
-        os.close(os.pidfd_open(os.getpid()))
-    except (AttributeError, OSError) as exc:
-        # no pidfds (Linux before 5.3, Python before 3.9, or a seccomp filter)
-        reply(out, {"error": "pidfd_open: %s: %s" % (type(exc).__name__, exc)})
-        return
-    reply(out, {"ready": True})
-    for line in iter(requests.readline, b""):
-        serve(json.loads(line), out)
-
-
-main()
-'''
-
-
 def _python_command() -> List[str]:
     env_cmd = os.environ.get("BRIDGE_PYTHON_CMD")
     if env_cmd:
@@ -576,7 +148,7 @@ class _Server:
         self._sock, server_end = socket.socketpair()
         try:
             self._proc = subprocess.Popen(
-                _python_command() + ["-I", "-c", _SERVER_PROGRAM],
+                _python_command() + ["-I", "-c", _SERVER_SOURCE],
                 stdin=server_end.fileno(),
                 stdout=server_end.fileno(),
                 stderr=subprocess.DEVNULL,
@@ -610,12 +182,10 @@ class _Server:
         return obj if isinstance(obj, dict) else {}
 
     def run(self, request: Dict[str, object]) -> _ChildResult:
-        token = os.urandom(16).hex()
+        token = request["id"]
         reply: Dict[str, object] = {}
         try:
-            self._sock.sendall(
-                json.dumps(dict(request, id=token)).encode("utf-8") + b"\n"
-            )
+            self._sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
             started = self._line()
             pid = started.get("pid")
             # a pid of 0 or 1 would make killpg signal far more than a candidate
@@ -708,12 +278,21 @@ def shutdown() -> None:
 atexit.register(shutdown)
 
 
-def _run_child(payload: Dict[str, object], *, timeout: float) -> _ChildResult:
-    """Run one payload in a fresh work directory: (records, returncode, timed_out)."""
+def _run_child(
+    source: str, function_name: str, inputs: List[List[object]], *, timeout: float
+) -> _ChildResult:
+    """Call the candidate on each argument list in a fresh work directory:
+    (records, returncode, timed_out).  No expected value is sent."""
     workdir = tempfile.mkdtemp(prefix="bridge-py-")
     try:
-        request = {"payload": payload, "workdir": workdir, "timeout": timeout}
-        return _POOL.run(request)
+        return _POOL.run({
+            "source": source,
+            "function_name": function_name,
+            "inputs": inputs,
+            "workdir": workdir,
+            "timeout": timeout,
+            "id": os.urandom(16).hex(),
+        })
     finally:
         # Candidates rarely leave files, and rmdir of an empty directory is
         # far cheaper than a tree walk.
@@ -723,22 +302,14 @@ def _run_child(payload: Dict[str, object], *, timeout: float) -> _ChildResult:
             shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _tests_payload(artifact_body: str, problem: Problem) -> Dict[str, object]:
-    tests = []
-    for test in problem.tests:
-        tests.append(
-            {
-                "inputs": list(test.parsed_inputs()),
-                "expected": test.parsed_expected(),
-                "order_insensitive": test.order_insensitive,
-            }
-        )
-    return {
-        "mode": "tests",
-        "source": artifact_body,
-        "function_name": problem.function_name,
-        "tests": tests,
-    }
+def _matches(observed: object, test: UnitTest) -> bool:
+    """Whether an observed fingerprint is that of the test's expected value,
+    compared as multisets when the test is order-insensitive."""
+    key = "sorted" if test.order_insensitive else "value"
+    expected = (sandbox_server.fingerprint(test.parsed_expected()) or {}).get(key)
+    if expected is None or not isinstance(observed, dict):
+        return False
+    return observed.get(key) == expected
 
 
 def run_tests(
@@ -748,51 +319,44 @@ def run_tests(
     timeout: float = DEFAULT_TIMEOUT,
 ) -> TestOutcome:
     """Execute the candidate against the problem's unit tests."""
-    payload = _tests_payload(artifact_body, problem)
-    records, returncode, timed_out = _run_child(payload, timeout=timeout)
+    inputs = [test.parsed_inputs() for test in problem.tests]
+    records, returncode, timed_out = _run_child(
+        artifact_body, problem.function_name, inputs, timeout=timeout
+    )
 
     total = len(problem.tests)
-    by_index: Dict[int, Dict[str, object]] = {}
-    crash_error = None
-    for rec in records:
-        if rec.get("status") == "crash":
-            crash_error = rec.get("error", "candidate failed to load")
-            break
-        idx = rec.get("index")
-        if isinstance(idx, int) and 0 <= idx < total:
-            by_index[idx] = rec
-
-    if crash_error is not None:
+    crash = next((rec for rec in records if rec.get("kind") == "crash"), None)
+    if crash is not None:
         failures = tuple(
-            {"index": i, "reason": "crash", "error": crash_error} for i in range(total)
+            {"index": i, "reason": "crash", "error": crash.get("error")}
+            for i in range(total)
         )
         return TestOutcome(total=total, passed=0, failures=failures, fault="Crash")
 
+    by_index = {rec["index"]: rec for rec in records if isinstance(rec.get("index"), int)}
     passed = 0
     failures: List[Dict[str, object]] = []
     saw_error = False
-    for i in range(total):
+    for i, test in enumerate(problem.tests):
         rec = by_index.get(i)
         if rec is None:
             reason = "timeout" if timed_out else "not run"
             failures.append({"index": i, "reason": reason})
-            continue
-        status = rec.get("status")
-        if status == "pass":
+        elif "kind" in rec:
+            saw_error = True
+            failures.append(
+                {"index": i, "reason": "exception", "error": rec.get("error")}
+            )
+        elif _matches(rec.get("fingerprint"), test):
             passed += 1
-        elif status == "fail":
+        else:
             failures.append(
                 {
                     "index": i,
                     "reason": "mismatch",
-                    "observed": rec.get("observed"),
-                    "expected": rec.get("expected"),
+                    "observed": rec.get("repr"),
+                    "expected": sandbox_server.clip(repr(test.parsed_expected())),
                 }
-            )
-        else:
-            saw_error = True
-            failures.append(
-                {"index": i, "reason": "exception", "error": rec.get("error")}
             )
 
     if timed_out:
@@ -808,35 +372,37 @@ def run_tests(
     )
 
 
-def _contracts_payload(
-    artifact_body: str,
-    problem: Problem,
-    *,
-    trials: int,
-    seed: int,
-    include_tests: bool,
-) -> Dict[str, object]:
-    payload: Dict[str, object] = {
-        "mode": "contracts",
-        "source": artifact_body,
-        "function_name": problem.function_name,
-        "param_types": [ptype for _, ptype in problem.params],
-        "trials": trials,
-        "seed": seed,
-        "tests": [],
-    }
-    if include_tests:
-        payload["tests"] = [
-            {"inputs": list(t.parsed_inputs())} for t in problem.tests
-        ]
-    return payload
+def gen_value(rng, type_text):
+    t = type_text.strip()
+    if t.startswith("(") and t.endswith(")"):
+        t = t[1:-1].strip()
+    if t == "Int":
+        return rng.randint(-1000000, 1000000)
+    if t == "Nat":
+        return rng.randint(0, 1000000)
+    if t == "Bool":
+        return rng.random() < 0.5
+    if t == "String":
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        return "".join(rng.choice(letters) for _ in range(rng.randint(0, 32)))
+    if t.startswith("List"):
+        inner = t[4:].strip()
+        bound = 32 if not inner.startswith("List") and not inner.startswith("(") else 6
+        return [gen_value(rng, inner) for _ in range(rng.randint(0, bound))]
+    raise ValueError("cannot generate values of type %s" % type_text)
+
+
+def _probes(problem: Problem, trials: int, seed: int) -> List[List[object]]:
+    """`trials` argument lists drawn at random for the problem's parameter types."""
+    rng = random.Random(seed)
+    return [[gen_value(rng, ptype) for _, ptype in problem.params] for _ in range(trials)]
 
 
 def _tally(records: Sequence[Dict[str, object]]) -> Dict[str, int]:
     counts = {"ok": 0, "pre": 0, "post": 0, "inv": 0, "fault": 0}
     for rec in records:
-        kind = rec.get("kind")
-        if kind in counts:
+        kind = "ok" if "fingerprint" in rec else rec.get("kind")
+        if isinstance(kind, str) and kind in counts:
             counts[kind] += 1
     return counts
 
@@ -850,10 +416,10 @@ def check_contracts(
     timeout: float = 30.0,
 ) -> ContractReport:
     """Probe contract activity by calling the candidate on random inputs."""
-    payload = _contracts_payload(
-        artifact_body, problem, trials=trials, seed=seed, include_tests=False
+    records, returncode, timed_out = _run_child(
+        artifact_body, problem.function_name, _probes(problem, trials, seed),
+        timeout=timeout,
     )
-    records, returncode, timed_out = _run_child(payload, timeout=timeout)
     counts = _tally(records)
     faults = counts["fault"]
     if timed_out or returncode not in (0, None):
@@ -1028,18 +594,15 @@ def vacuity_check(
         )
 
     mutants = build_mutants(artifact_body, problem.function_name, mutant_names)
+    probes = [test.parsed_inputs() for test in problem.tests]
+    probes += _probes(problem, random_trials, seed)
     details: List[Dict[str, object]] = []
     rejected_count = 0
     for name, mutated_source in mutants:
-        payload = _contracts_payload(
-            mutated_source,
-            problem,
-            trials=random_trials,
-            seed=seed,
-            include_tests=True,
+        records, _, timed_out = _run_child(
+            mutated_source, problem.function_name, probes, timeout=timeout
         )
-        records, returncode, timed_out = _run_child(payload, timeout=timeout)
-        if records and records[0].get("status") == "crash":
+        if any(rec.get("kind") == "crash" for rec in records):
             # mutation broke the module; a crash is not a contract rejection
             details.append(
                 {"name": name, "rejected": False, "rejections": 0, "crashes": 1}

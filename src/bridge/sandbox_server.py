@@ -1,0 +1,368 @@
+"""The sandbox server that `bridge.pyexec` runs Python candidates in.
+
+Launched as `<python> -I -c <this file's text>`, possibly in a wrapper that
+cannot see the `bridge` package, so it imports the standard library only.  It
+writes a line saying whether it can serve, then reads one JSON request per
+line: `source`, `function_name`, `inputs` (one argument list per call),
+`workdir`, `timeout` and `id`.  It answers each with a line naming the
+forked grandchild's pid, then one with the records the grandchild emitted,
+its return code and whether it timed out, both echoing the id.  A record
+says what one call returned (clipped `repr` and `fingerprint`) or raised
+(`kind` and clipped `error`); a candidate that does not load gives one
+`crash` record.  Judging is left to `pyexec`.
+"""
+
+import hashlib
+import json
+import os
+import select
+import signal
+import sys
+import time
+import types
+
+SENTINEL = "##REC## "
+OUTPUT_CAP = 1 << 20
+# longest text a record carries, so that honest records stay far below the cap
+TEXT_CAP = 1000
+WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_TRUNC
+
+
+def emit(rec):
+    sys.stdout.write(SENTINEL + json.dumps(rec) + "\n")
+    sys.stdout.flush()
+
+
+def clip(text):
+    return text if len(text) <= TEXT_CAP else text[:TEXT_CAP] + "..."
+
+
+def install_sandbox(workdir):
+    root = os.path.realpath(workdir)
+
+    def inside(target):
+        return os.path.commonpath([root, target]) == root
+
+    def hook(event, args):
+        if event == "open":
+            path, mode, flags = args[0], args[1], args[2]
+            if mode is None:
+                writes = flags & WRITE_FLAGS  # os.open gives flags, not a mode
+            else:
+                writes = any(ch in mode for ch in "wax+")
+            if writes:
+                target = os.path.realpath(str(path))
+                if not inside(target):
+                    raise RuntimeError("write blocked outside sandbox: %s" % target)
+        elif event in ("os.remove", "os.rename", "shutil.rmtree"):
+            target = os.path.realpath(str(args[0]))
+            if not inside(target):
+                raise RuntimeError("file mutation blocked outside sandbox: %s" % target)
+
+    sys.addaudithook(hook)
+
+
+class ContractError(Exception):
+    pass
+
+
+class PreContractError(ContractError):
+    message = "precondition failed"
+
+
+class PostContractError(ContractError):
+    message = "postcondition failed"
+
+
+class InvContractError(ContractError):
+    message = "invariant failed"
+
+
+def holds(validator, error, /, *args, **kwargs):
+    """Raise `error` unless `validator(*args, **kwargs)` holds."""
+    try:
+        ok = validator(*args, **kwargs)
+    except ContractError:
+        raise
+    except Exception as exc:
+        raise error(str(exc))
+    if ok is False:
+        raise error(error.message)
+
+
+def make_deal():
+    deal = types.ModuleType("deal")
+    deal.ContractError = ContractError
+    deal.PreContractError = PreContractError
+    deal.PostContractError = PostContractError
+    deal.InvContractError = InvContractError
+
+    def pre(validator, *a, **k):
+        def deco(fn):
+            def wrapped(*args, **kwargs):
+                holds(validator, PreContractError, *args, **kwargs)
+                return fn(*args, **kwargs)
+
+            wrapped.__name__ = getattr(fn, "__name__", "wrapped")
+            return wrapped
+
+        return deco
+
+    def post(validator, *a, **k):
+        def deco(fn):
+            def wrapped(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                holds(validator, PostContractError, result)
+                return result
+
+            wrapped.__name__ = getattr(fn, "__name__", "wrapped")
+            return wrapped
+
+        return deco
+
+    def ensure(validator, *a, **k):
+        def deco(fn):
+            def wrapped(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                holds(validator, PostContractError, *args, result=result, **kwargs)
+                return result
+
+            wrapped.__name__ = getattr(fn, "__name__", "wrapped")
+            return wrapped
+
+        return deco
+
+    def inv(validator, *a, **k):
+        def deco(cls):
+            original_setattr = cls.__setattr__
+
+            def checked_setattr(self, name, value):
+                original_setattr(self, name, value)
+                holds(validator, InvContractError, self)
+
+            cls.__setattr__ = checked_setattr
+            return cls
+
+        return deco
+
+    def _identity(*a, **k):
+        if len(a) == 1 and callable(a[0]) and not k:
+            return a[0]
+
+        def deco(fn):
+            return fn
+
+        return deco
+
+    def _config(*a, **k):
+        # always parenthesized (deal.raises(ValueError)); the arguments are
+        # configuration, never the decorated function
+        def deco(fn):
+            return fn
+
+        return deco
+
+    def chain(*decos):
+        def deco(fn):
+            for d in reversed(decos):
+                fn = d(fn)
+            return fn
+
+        return deco
+
+    deal.pre = pre
+    deal.post = post
+    deal.ensure = ensure
+    deal.inv = inv
+    deal.safe = _identity
+    deal.raises = _config
+    deal.reason = _config
+    deal.has = _config
+    deal.pure = _identity
+    deal.chain = chain
+    return deal
+
+
+def encode(value):
+    """Canonical JSON of a literal (an int, bool or str, or a list of literals),
+    subclasses encoded as their base type; None for any other value."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, list):
+        items = [encode(item) for item in value]
+        return None if None in items else "[" + ", ".join(items) + "]"
+    return None
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def fingerprint(value):
+    """SHA-256 digests of a literal's canonical JSON and, for a list, of its
+    sorted element encodings, which match exactly when the lists are equal as
+    multisets; None for a value outside the literal grammar."""
+    text = encode(value)
+    if text is None:
+        return None
+    items = sorted(encode(item) for item in value) if isinstance(value, list) else None
+    return {
+        "value": sha256(text),
+        "sorted": None if items is None else sha256("\n".join(items)),
+    }
+
+
+def load_candidate(source, function_name):
+    module = types.ModuleType("candidate")
+    exec(compile(source, "<candidate>", "exec"), module.__dict__)
+    fn = module.__dict__.get(function_name)
+    if fn is None or not callable(fn):
+        raise RuntimeError("candidate does not define function %s" % function_name)
+    return fn
+
+
+KINDS = (
+    (PreContractError, "pre"),
+    (PostContractError, "post"),
+    ((AssertionError, InvContractError), "inv"),
+)
+
+
+def call(fn, args):
+    """The record of one call: what it returned, or what it raised."""
+    try:
+        value = fn(*args)
+        return {"repr": clip(repr(value)), "fingerprint": fingerprint(value)}
+    except Exception as exc:
+        kind = next((k for cls, k in KINDS if isinstance(exc, cls)), "fault")
+        return {"kind": kind, "error": clip("%s: %s" % (type(exc).__name__, exc))}
+
+
+def run_candidate(request):
+    install_sandbox(request["workdir"])
+    try:
+        fn = load_candidate(request["source"], request["function_name"])
+    except BaseException as exc:
+        emit({"kind": "crash", "error": clip("%s: %s" % (type(exc).__name__, exc))})
+        return 3
+    for index, args in enumerate(request["inputs"]):
+        emit(dict(call(fn, args), index=index))
+    return 0
+
+
+def grandchild(request, record_fd):
+    """Run one request in this forked process; never returns."""
+    code = 1  # an uncaught exception exits 1, as in a fresh interpreter
+    try:
+        os.setsid()
+        null = os.open(os.devnull, os.O_RDWR)
+        os.dup2(null, 0)
+        os.dup2(record_fd, 1)
+        os.dup2(null, 2)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        os.chdir(request["workdir"])
+        os.environ["HOME"] = request["workdir"]
+        code = run_candidate(request)
+    except SystemExit as exc:
+        if exc.code is None:
+            code = 0
+        elif isinstance(exc.code, int):
+            code = exc.code & 0xFF
+    finally:
+        try:
+            sys.stdout.flush()
+        finally:
+            os._exit(code)
+
+
+def reply(out, obj):
+    out.write(json.dumps(obj).encode("ascii") + b"\n")
+    out.flush()
+
+
+def serve(request, out):
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        grandchild(request, write_fd)
+    os.close(write_fd)
+    reply(out, {"id": request["id"], "pid": pid})
+    exit_fd = os.pidfd_open(pid)
+    deadline = time.monotonic() + request["timeout"]
+    chunks = []
+    size = 0
+    timed_out = overflow = False
+    watched = [read_fd, exit_fd]
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            timed_out = True
+            break
+        ready = select.select(watched, [], [], remaining)[0]
+        if read_fd in ready:
+            chunk = os.read(read_fd, 1 << 16)
+            if not chunk:
+                watched.remove(read_fd)
+                continue
+            chunks.append(chunk)
+            size += len(chunk)
+            if size > OUTPUT_CAP:
+                overflow = True
+                break
+        elif exit_fd in ready:
+            break
+    # the grandchild is not reaped yet, so its pid still names its group;
+    # whatever it left running goes with it
+    try:
+        os.killpg(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        # no such group: the grandchild ended, or is still alive, before its setsid()
+        os.kill(pid, signal.SIGKILL)
+    status = os.waitpid(pid, 0)[1]
+    os.close(read_fd)
+    os.close(exit_fd)
+    if timed_out:
+        returncode = None
+    elif overflow:
+        returncode = -signal.SIGKILL
+    else:
+        returncode = os.waitstatus_to_exitcode(status)
+    records = []
+    text = b"".join(chunks)[:OUTPUT_CAP].decode("utf-8", errors="replace")
+    for line in text.splitlines():
+        if line.startswith(SENTINEL):
+            try:
+                rec = json.loads(line[len(SENTINEL):])
+            except ValueError:
+                continue
+            if isinstance(rec, dict):
+                records.append(rec)
+    reply(out, {
+        "id": request["id"],
+        "records": records,
+        "returncode": returncode,
+        "timed_out": timed_out,
+    })
+
+
+def main():
+    requests = sys.stdin.buffer
+    out = sys.stdout.buffer
+    try:
+        os.close(os.pidfd_open(os.getpid()))
+    except (AttributeError, OSError) as exc:
+        # no pidfds (Linux before 5.3, Python before 3.9, or a seccomp filter)
+        reply(out, {"error": "pidfd_open: %s: %s" % (type(exc).__name__, exc)})
+        return
+    sys.modules["deal"] = make_deal()  # built once, inherited by every fork
+    reply(out, {"ready": True})
+    for line in iter(requests.readline, b""):
+        serve(json.loads(line), out)
+
+
+if __name__ == "__main__":
+    main()

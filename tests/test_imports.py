@@ -1,6 +1,7 @@
 """Every name a `src/bridge` module imports is used in that module."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,16 @@ def test_scan_finds_an_unused_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_sandbox_server_imports_only_the_standard_library():
+    # it runs under -I, possibly inside a wrapper that cannot see the package
+    tree = ast.parse((SRC / "sandbox_server.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            modules.add(node.module.split(".")[0])
+    assert modules and modules <= sys.stdlib_module_names

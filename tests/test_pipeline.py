@@ -331,11 +331,11 @@ class CrossFeedbackGateway(LadderGateway):
 class TestCrossFeedback:
     TRANSLATED = f"```lean\nimport Std\n\n{LEAN_BODY}\n```"
 
-    def run_with_feedback(self, tmp_path, transcripts):
+    def run_with_feedback(self, tmp_path, transcripts, reply=TRANSLATED):
         config = make_config(
             tmp_path, max_retries=1,
             spec_checks={"cross_feedback": True})
-        gw = CrossFeedbackGateway([WRONG_PY, GOOD_PY], self.TRANSLATED)
+        gw = CrossFeedbackGateway([WRONG_PY, GOOD_PY], reply)
         orch = Orchestrator(config, gateway=gw,
                             verifier=LeanVerifier(transcripts=transcripts),
                             problems=[ADD])
@@ -374,6 +374,19 @@ class TestCrossFeedback:
         assert "# RETRY ATTEMPT 1/1" in retry_prompt
         # the attempted translation is still recorded for the round
         assert "cross_feedback" in chain["rounds"][0]
+
+    def test_translation_without_code_is_no_missing_toolchain(self, tmp_path):
+        body = "import Std\n\n" + LEAN_BODY
+        source = build_source(body, ADD, include_tests=False)
+        transcripts = {source_digest(source): {"returncode": 0, "output": ""}}
+        chain, gw = self.run_with_feedback(tmp_path, transcripts,
+                                           reply="I cannot translate this.")
+        assert chain["final_status"] == "Success"
+        assert chain["annotations"] == {"cross_feedback_no_artifact": True}
+        retry_prompt = gw.calls[-1]["prompt"]
+        assert "## Lean Compiler Feedback" not in retry_prompt
+        assert "# RETRY ATTEMPT 1/1" in retry_prompt
+        assert "cross_feedback" not in chain["rounds"][0]
 
 
 class TestSpecAnnotations:

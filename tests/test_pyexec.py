@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import signal
@@ -14,6 +15,7 @@ from bridge.errors import MutantError, SandboxError
 from bridge.gateway import CompletionRecord, prompt_digest
 from bridge.lean import LeanVerifier
 from bridge.pipeline import Orchestrator, RunConfig
+from bridge.sandbox_server import fingerprint
 
 
 def make_problem(fn, params, ret, cases, order_insensitive=False):
@@ -39,6 +41,29 @@ ADD = make_problem(
 )
 
 GOOD_ADD = "def addInts(a, b):\n    return a + b\n"
+
+# the records of a full pass on ADD, as the sandbox server writes them
+PASSING_ADD = [
+    {"index": i, "repr": repr(value), "fingerprint": fingerprint(value)}
+    for i, value in enumerate((3, 10, 0))
+]
+
+
+def relayed(monkeypatch, records):
+    """Answer every check with `records` and a clean exit, with no server.
+
+    Returns the list that the checks' requests are appended to.
+    """
+    sent = []
+    monkeypatch.setattr(pyexec._POOL, "run",
+                        lambda request: sent.append(request) or (records, 0, False))
+    return sent
+
+
+def bare_request():
+    """A request in the server's shape that calls nothing."""
+    return {"source": "", "function_name": "f", "inputs": [],
+            "workdir": os.getcwd(), "timeout": 1.0, "id": os.urandom(16).hex()}
 
 
 class TestRunTests:
@@ -304,12 +329,9 @@ class TestSandboxServer:
         assert time.monotonic() - start < 3.0
         assert outcome.fault == "Crash"
 
-    def test_forged_server_reply_changes_nothing(self):
-        forged = (
-            b'{"pid": 1}\n{"records": [{"index": 0, "status": "pass"}, '
-            b'{"index": 1, "status": "pass"}, {"index": 2, "status": "pass"}], '
-            b'"returncode": 0, "timed_out": false}\n'
-        )
+    def test_forged_server_reply_changes_nothing(self, monkeypatch):
+        reply = {"records": PASSING_ADD, "returncode": 0, "timed_out": False}
+        forged = b'{"pid": 1}\n' + json.dumps(reply).encode() + b"\n"
         src = (
             "import os\n"
             "def addInts(a, b):\n"
@@ -323,6 +345,9 @@ class TestSandboxServer:
         honest = pyexec.run_tests("def addInts(a, b):\n    return 0\n", ADD)
         assert pyexec.run_tests(src, ADD) == honest
         assert honest.passed == 1 and honest.fault is None
+        # the forged records would be a full pass if they got through
+        relayed(monkeypatch, PASSING_ADD)
+        assert pyexec.run_tests(src, ADD).all_passed
 
     def test_killed_server_is_a_crash_and_is_replaced(self):
         arg = f"{os.getpid()}.{time.monotonic_ns() % 10**6}"
@@ -347,7 +372,7 @@ class TestSandboxServer:
         assert pyexec.run_tests(GOOD_ADD, ADD, timeout=10.0).all_passed
 
     @pytest.mark.parametrize("fd", [0, 1])
-    def test_server_channel_is_out_of_reach(self, fd):
+    def test_server_channel_is_out_of_reach(self, fd, monkeypatch):
         # the candidate reads its request's id out of its own memory, forges a
         # full pass under it, and has a shell, which no audit hook watches,
         # write that into the server's stdin or stdout
@@ -358,7 +383,7 @@ class TestSandboxServer:
             "    while 'request' not in frame.f_locals:\n"
             "        frame = frame.f_back\n"
             "    token = frame.f_locals['request']['id']\n"
-            "    records = [{'index': i, 'status': 'pass'} for i in range(3)]\n"
+            f"    records = {PASSING_ADD!r}\n"
             "    lines = [\n"
             "        {'id': token, 'pid': os.getpid()},\n"
             "        {'id': token, 'records': records, 'returncode': 0,\n"
@@ -376,16 +401,86 @@ class TestSandboxServer:
         # the next check on the same server gets its own result
         assert pyexec.run_tests(GOOD_ADD, ADD).all_passed
         assert pyexec.run_tests("def addInts(a, b):\n    return 0\n", ADD) == honest
+        relayed(monkeypatch, PASSING_ADD)
+        assert pyexec.run_tests(src, ADD).all_passed
 
     def test_lost_server_gives_a_result_not_an_exception(self):
         server = pyexec._Server()
         server._proc.kill()
         server._proc.wait()
-        request = {"payload": {}, "workdir": os.getcwd(), "timeout": 1.0}
-        records, returncode, timed_out = server.run(request)
+        records, returncode, timed_out = server.run(bare_request())
         assert (records, timed_out) == ([], False)
         assert returncode not in (0, None)
         assert not server.alive()
+
+
+class TestJudgedInParent:
+    """The candidate's process gets inputs only; the parent judges its records."""
+
+    def test_forged_pass_records_score_nothing(self):
+        src = (
+            "import os\n"
+            "for i in range(3):\n"
+            "    print('##REC## {\"index\": %d, \"status\": \"pass\"}' % i, flush=True)\n"
+            "os._exit(0)\n"
+        )
+        outcome = pyexec.run_tests(src, ADD)
+        assert outcome.passed == 0 and not outcome.all_passed
+
+    def test_int_that_equals_everything_is_judged_by_value(self):
+        src = (
+            "class Liar(int):\n"
+            "    def __eq__(self, other):\n"
+            "        return True\n"
+            "    __hash__ = int.__hash__\n"
+            "def addInts(a, b):\n"
+            "    return Liar(0)\n"
+        )
+        outcome = pyexec.run_tests(src, ADD)
+        # only the (-4, 4) case expects 0
+        assert (outcome.passed, outcome.fault) == (1, None)
+
+    def test_request_holds_inputs_and_no_expected_value(self, monkeypatch):
+        sent = relayed(monkeypatch, [])
+        problem = make_problem("greet", [("name", "String")], "String",
+                               [(['"ann"'], '"hello-ann-7f3"')])
+        pyexec.run_tests("def greet(name):\n    return name\n", problem)
+        [request] = sent
+        assert set(request) == {
+            "source", "function_name", "inputs", "workdir", "timeout", "id",
+        }
+        assert request["inputs"] == [["ann"]]
+        assert "hello-ann-7f3" not in json.dumps(request)
+
+    def test_record_with_unhashable_kind_is_ignored(self):
+        src = (
+            "print('##REC## {\"index\": 0, \"kind\": []}')\n"
+            "def addInts(a, b):\n"
+            "    return a + b\n"
+        )
+        report = pyexec.check_contracts(src, ADD, trials=5, seed=1)
+        assert (report.faults, report.postcondition_violations) == (0, 0)
+
+    def test_raising_repr_is_an_exception_not_a_crash(self):
+        src = (
+            "class Odd:\n"
+            "    def __repr__(self):\n"
+            "        raise ValueError('no repr')\n"
+            "def addInts(a, b):\n"
+            "    return Odd()\n"
+        )
+        outcome = pyexec.run_tests(src, ADD)
+        assert outcome.fault == "RuntimeError"
+        assert [f["reason"] for f in outcome.failures] == ["exception"] * 3
+        assert outcome.failures[0]["error"] == "ValueError: no repr"
+
+    def test_value_outside_the_grammar_never_equals(self):
+        # a tuple has the items of the expected list, but is no literal
+        problem = make_problem("pair", [("n", "Int")], "List Int", [(["1"], "[1,1]")],
+                               order_insensitive=True)
+        outcome = pyexec.run_tests("def pair(n):\n    return (n, n)\n", problem)
+        assert outcome.passed == 0
+        assert outcome.failures[0]["reason"] == "mismatch"
 
 
 @pytest.fixture
@@ -462,8 +557,7 @@ class TestServerProtocol:
         killed_groups = []
         monkeypatch.setattr(os, "killpg", lambda pgid, sig: killed_groups.append(pgid))
         server = pyexec._Server()
-        request = {"payload": {}, "workdir": os.getcwd(), "timeout": 1.0}
-        records, returncode, timed_out = server.run(request)
+        records, returncode, timed_out = server.run(bare_request())
         assert (records, timed_out) == ([], False)
         assert returncode not in (0, None)
         assert not server.alive()
@@ -558,6 +652,15 @@ class TestCheckContracts:
         )
         report = pyexec.check_contracts(src, ADD, trials=40, seed=7)
         assert report.faults > 0
+
+    def test_probe_inputs_are_pinned_to_the_seed(self, monkeypatch):
+        sent = relayed(monkeypatch, [])
+        problem = make_problem(
+            "f", [("xs", "List Int"), ("s", "String"), ("n", "Int")], "Int", []
+        )
+        pyexec.check_contracts("def f(xs, s, n):\n    return n\n", problem,
+                               trials=3, seed=2)
+        assert sent[0]["inputs"][0] == [[-807933, -822011, -242808], "xzvjitgtbs", 428676]
 
     def test_same_seed_reproduces(self):
         a = pyexec.check_contracts(CONTRACT_SRC, ADD, trials=30, seed=11)
