@@ -34,7 +34,7 @@ class TransportError(GatewayError):
 
 
 class ReplayMissError(GatewayError):
-    """Replay mode found no recorded completion for a prompt digest."""
+    """Replay or mock mode has too few stored completions for a prompt digest."""
 
 
 class BackendMissingError(BridgeError):

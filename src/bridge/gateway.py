@@ -7,7 +7,10 @@ mock    serve from a scripted table; used by tests and fixtures
 
 The mode is fixed per gateway instance. Prompt digests are a pure function
 of (model_id, prompt, temperature, max_tokens, seed), so identical requests
-hit identical archive entries regardless of mode.
+hit identical archive entries regardless of mode. A mock script is indexed
+once into the same table a replay archive fills, so mock and replay share
+one lookup: the first n records stored for the digest, or `ReplayMissError`.
+The gateway never reads the prompt beyond digesting it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -26,8 +28,9 @@ from . import metrics
 from .errors import ConfigError, GatewayError, ReplayMissError, TransportError
 
 MODES = ("live", "record", "replay", "mock")
-
-_RETRY_HEADER = re.compile(r"# RETRY ATTEMPT (\d+)/(\d+)")
+# transport attempts per batch, and the first backoff, doubled per retry
+_MAX_ATTEMPTS = 3
+_BACKOFF_BASE = 0.5
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,50 @@ def count_tokens(record: CompletionRecord) -> Tuple[int, int]:
     return words, tokens
 
 
+def _completions(
+    model_id: str, digest: str, stored: Sequence[Mapping]
+) -> List[CompletionRecord]:
+    """Completion records from stored records, numbered in stored order."""
+    return [
+        CompletionRecord(
+            model_id=model_id,
+            prompt_digest=digest,
+            sample_index=i,
+            text=rec["text"],
+            reported_tokens=rec.get("reported_tokens"),
+            latency=float(rec.get("latency", 0.0)),
+        )
+        for i, rec in enumerate(stored)
+    ]
+
+
+def _script_table(script: Mapping) -> Dict[str, dict]:
+    """A mock script's entries as archive entries, indexed once by digest.
+
+    Every entry needs a digest, a sample_index and a text, and each digest's
+    indices must run 0..m-1 with no gap and no repeat.
+    """
+    groups: Dict[str, List[Tuple[int, Mapping]]] = {}
+    for number, entry in enumerate(script.get("entries", [])):
+        missing = [k for k in ("digest", "sample_index", "text") if k not in entry]
+        if missing:
+            raise ConfigError(f"mock script entry {number} lacks {', '.join(missing)}")
+        groups.setdefault(entry["digest"], []).append((number, entry))
+    table = {}
+    for digest, group in groups.items():
+        records: Dict[int, Mapping] = {}
+        for number, entry in group:
+            index = entry["sample_index"]
+            if index not in range(len(group)) or index in records:
+                raise ConfigError(
+                    f"mock script entry {number} has sample_index {index!r}, a repeat "
+                    f"or a gap in 0..{len(group) - 1} for digest {digest[:12]}"
+                )
+            records[index] = entry
+        table[digest] = {"records": [records[i] for i in range(len(group))]}
+    return table
+
+
 def _default_transport(
     endpoint: str,
     api_key: str,
@@ -150,9 +197,6 @@ class ModelGateway:
         archive_dir: Union[None, str, Path] = None,
         transport: Optional[Callable] = None,
         sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.monotonic,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
     ) -> None:
         if mode not in MODES:
             raise ConfigError(f"gateway mode must be one of {MODES}, got {mode!r}")
@@ -161,26 +205,19 @@ class ModelGateway:
         self.archive_dir = Path(archive_dir) if archive_dir else None
         self.transport = transport or _default_transport
         self._sleep = sleep
-        self._clock = clock
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self._digest_locks: Dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
-        # parsed archive files by digest; record mode stores what it writes
+        # archive entries by digest: files read or written, or the mock script
         self._archive: Dict[str, dict] = {}
-        self._script: Optional[dict] = None
         if mode == "mock":
             if script is None:
                 raise ConfigError("mock mode requires a script")
             if isinstance(script, (str, Path)):
                 try:
-                    self._script = json.loads(
-                        Path(script).read_text(encoding="utf-8")
-                    )
+                    script = json.loads(Path(script).read_text(encoding="utf-8"))
                 except FileNotFoundError:
                     raise ConfigError(f"mock script not found: {script}") from None
-            else:
-                self._script = dict(script)
+            self._archive = _script_table(script)
         if mode in ("record", "replay") and self.archive_dir is None:
             raise ConfigError(f"{mode} mode requires an archive directory")
 
@@ -191,71 +228,15 @@ class ModelGateway:
     ) -> List[CompletionRecord]:
         """Fetch params.n_samples completions for one prompt."""
         digest = prompt_digest(model_id, prompt, params)
-        if self.mode == "mock":
-            return self._mock_records(model_id, prompt, digest, params)
-        if self.mode == "replay":
-            return self._replay_records(model_id, digest, params.n_samples)
-        if self.mode == "record":
-            return self._record_records(model_id, prompt, digest, params)
-        return self._live_records(model_id, prompt, digest, params)
+        if self.mode == "live":
+            stored = self._live(model_id, prompt, params)
+        elif self.mode == "record":
+            stored = self._record(model_id, prompt, digest, params)
+        else:
+            stored = self._stored(model_id, digest, params.n_samples)
+        return _completions(model_id, digest, stored)
 
-    # -- mock ----------------------------------------------------------------
-
-    def _mock_records(
-        self, model_id: str, prompt: str, digest: str, params: DecodingParams
-    ) -> List[CompletionRecord]:
-        header = _RETRY_HEADER.search(prompt)
-        round_index = int(header.group(1)) + 1 if header else 1
-        entries = self._script.get("entries", [])
-        records = []
-        for index in range(params.n_samples):
-            entry = self._match_entry(entries, model_id, prompt, digest, round_index, index)
-            if entry is None:
-                if "default" in self._script:
-                    entry = {"text": self._script["default"]}
-                else:
-                    raise GatewayError(
-                        f"mock script has no entry for model={model_id} "
-                        f"digest={digest[:12]} round={round_index} sample={index}"
-                    )
-            records.append(
-                CompletionRecord(
-                    model_id=model_id,
-                    prompt_digest=digest,
-                    sample_index=index,
-                    text=entry["text"],
-                    reported_tokens=entry.get("reported_tokens"),
-                    latency=float(entry.get("latency", 0.0)),
-                )
-            )
-        return records
-
-    @staticmethod
-    def _match_entry(
-        entries: Sequence[Mapping],
-        model_id: str,
-        prompt: str,
-        digest: str,
-        round_index: int,
-        sample_index: int,
-    ) -> Optional[Mapping]:
-        for entry in entries:
-            if "model" in entry and entry["model"] != model_id:
-                continue
-            if "digest" in entry and entry["digest"] != digest:
-                continue
-            if "key" in entry and entry["key"] not in prompt:
-                continue
-            if "round" in entry and int(entry["round"]) != round_index:
-                continue
-            if "sample_index" in entry and int(entry["sample_index"]) != sample_index:
-                continue
-            if "digest" not in entry and "key" not in entry:
-                continue
-            return entry
-        return None
-
-    # -- record / replay archive ----------------------------------------------
+    # -- archive: replay files, record files and mock scripts -----------------
 
     def _archive_path(self, digest: str) -> Path:
         return self.archive_dir / f"{digest}.json"
@@ -264,9 +245,10 @@ class ModelGateway:
         """The archive entry for a digest, read from disk at most once.
 
         Misses are not cached, so an entry recorded later is still found.
+        A mock gateway holds its whole table and never reads the disk.
         """
         entry = self._archive.get(digest)
-        if entry is not None:
+        if entry is not None or self.mode == "mock":
             return entry
         try:
             text = self._archive_path(digest).read_text(encoding="utf-8")
@@ -276,60 +258,38 @@ class ModelGateway:
         self._archive[digest] = entry
         return entry
 
-    def _replay_records(
-        self, model_id: str, digest: str, n: int
-    ) -> List[CompletionRecord]:
+    def _stored(self, model_id: str, digest: str, n: int) -> List[dict]:
+        """The first n stored records for a digest; too few is a miss."""
         entry = self._load_archive(digest)
         if entry is None:
             raise ReplayMissError(
-                f"no recorded completions for digest {digest} (model {model_id})"
+                f"no {self.mode} completions for digest {digest} (model {model_id})"
             )
         stored = entry.get("records", [])
         if len(stored) < n:
             raise ReplayMissError(
-                f"digest {digest} has {len(stored)} recorded samples, requested {n}"
+                f"digest {digest} has {len(stored)} {self.mode} samples, requested {n}"
             )
-        return [
-            CompletionRecord(
-                model_id=model_id,
-                prompt_digest=digest,
-                sample_index=i,
-                text=stored[i]["text"],
-                reported_tokens=stored[i].get("reported_tokens"),
-                latency=float(stored[i].get("latency", 0.0)),
-            )
-            for i in range(n)
-        ]
+        return stored[:n]
 
     def _digest_lock(self, digest: str) -> threading.Lock:
         with self._locks_guard:
-            if digest not in self._digest_locks:
-                self._digest_locks[digest] = threading.Lock()
-            return self._digest_locks[digest]
+            return self._digest_locks.setdefault(digest, threading.Lock())
 
-    def _record_records(
+    def _record(
         self, model_id: str, prompt: str, digest: str, params: DecodingParams
-    ) -> List[CompletionRecord]:
+    ) -> List[dict]:
         with self._digest_lock(digest):
             entry = self._load_archive(digest)
             if entry is not None and len(entry.get("records", [])) >= params.n_samples:
-                return self._replay_records(model_id, digest, params.n_samples)
-            records = self._live_records(model_id, prompt, digest, params)
+                return entry["records"][: params.n_samples]
             payload = {
                 "model_id": model_id,
                 "prompt": prompt,
                 "temperature": params.temperature,
                 "max_tokens": params.max_tokens,
                 "seed": params.seed,
-                "records": [
-                    {
-                        "sample_index": r.sample_index,
-                        "text": r.text,
-                        "reported_tokens": r.reported_tokens,
-                        "latency": r.latency,
-                    }
-                    for r in records
-                ],
+                "records": self._live(model_id, prompt, params),
             }
             self.archive_dir.mkdir(parents=True, exist_ok=True)
             tmp = self._archive_path(digest).with_suffix(".tmp")
@@ -339,7 +299,7 @@ class ModelGateway:
             )
             os.replace(tmp, self._archive_path(digest))
             self._archive[digest] = payload
-            return records
+            return payload["records"]
 
     # -- live -----------------------------------------------------------------
 
@@ -359,59 +319,45 @@ class ModelGateway:
             raise ConfigError(f"missing credential: set {var}")
         return key
 
-    def _call_with_retry(
-        self,
-        endpoint: str,
-        api_key: str,
-        model_id: str,
-        prompt: str,
-        params: DecodingParams,
-        n: int,
-    ) -> List[Tuple[str, Optional[int]]]:
+    def _call_with_retry(self, *request) -> List[Tuple[str, Optional[int]]]:
+        """The transport's answer to one request; transport failures are retried."""
         last: Optional[Exception] = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             try:
-                return self.transport(endpoint, api_key, model_id, prompt, params, n)
+                return self.transport(*request)
             except TransportError as exc:
                 last = exc
-                if attempt + 1 < self.max_attempts:
-                    self._sleep(self.backoff_base * (2 ** attempt))
-        raise TransportError(
-            f"transport failed after {self.max_attempts} attempts: {last}"
-        )
+                if attempt + 1 < _MAX_ATTEMPTS:
+                    self._sleep(_BACKOFF_BASE * (2 ** attempt))
+        raise TransportError(f"transport failed after {_MAX_ATTEMPTS} attempts: {last}")
 
-    def _live_records(
-        self, model_id: str, prompt: str, digest: str, params: DecodingParams
-    ) -> List[CompletionRecord]:
+    def _live(self, model_id: str, prompt: str, params: DecodingParams) -> List[dict]:
+        """Fresh completions from the provider, as stored records."""
         provider, cfg = self._provider_for(model_id)
         endpoint = cfg.get("endpoint")
         if not endpoint:
             raise ConfigError(f"provider entry for {model_id!r} lacks an endpoint")
         api_key = self._api_key(provider)
         batch_limit = int(cfg.get("batch_limit", 8))
-        remaining = params.n_samples
-        texts: List[Tuple[str, Optional[int], float]] = []
-        while remaining > 0:
-            n = min(remaining, batch_limit)
-            start = self._clock()
+        records: List[dict] = []
+        while len(records) < params.n_samples:
+            n = min(params.n_samples - len(records), batch_limit)
+            start = time.monotonic()
             batch = self._call_with_retry(
                 endpoint, api_key, model_id, prompt, params, n
             )
-            elapsed = self._clock() - start
+            elapsed = time.monotonic() - start
             if len(batch) != n:
                 raise GatewayError(
                     f"provider returned {len(batch)} completions, expected {n}"
                 )
-            texts.extend((t, tok, elapsed) for t, tok in batch)
-            remaining -= n
-        return [
-            CompletionRecord(
-                model_id=model_id,
-                prompt_digest=digest,
-                sample_index=i,
-                text=text,
-                reported_tokens=tokens,
-                latency=latency,
-            )
-            for i, (text, tokens, latency) in enumerate(texts)
-        ]
+            records += [
+                {
+                    "sample_index": len(records) + i,
+                    "text": text,
+                    "reported_tokens": tokens,
+                    "latency": elapsed,
+                }
+                for i, (text, tokens) in enumerate(batch)
+            ]
+        return records

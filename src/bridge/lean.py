@@ -93,6 +93,15 @@ class LeanProject:
 
 _DIAG_LINE = re.compile(r"^([^:\n]+):(\d+):(\d+): (error|warning|info): (.*)$")
 _SORRY_TOKEN = re.compile(r"\bsorry\b")
+# what can hide a sorry: a block comment's start (they nest, so its end is
+# found by counting), a line comment, a raw string (no escapes), a string, and
+# a char literal, whose quote cannot follow an identifier character as the
+# prime of h' does
+_NOT_CODE = re.compile(
+    r"""/-|--[^\n]*|(?<![\w'])r(#*)"[\s\S]*?"\1|"(?:\\[\s\S]|[^"\\])*"?"""
+    r"""|(?<![\w'])'(?:\\.[^'\n]*|[^\\'\n])'"""
+)
+_BLOCK_EDGE = re.compile(r"/-|-/")
 
 # Ordered classification rules: first matching pattern set wins per
 # diagnostic; unmatched diagnostics fall through to Other.
@@ -138,18 +147,42 @@ def parse_diagnostics(output: str) -> List[Diagnostic]:
     ]
 
 
+def _lean_code(source: str) -> str:
+    """The source with each comment and string or char literal made a space.
+
+    Block comments nest, doc comments included; one left open, like an
+    unclosed string, runs to the end of the source.
+    """
+    kept, pos = [], 0
+    while (found := _NOT_CODE.search(source, pos)) is not None:
+        kept.append(source[pos:found.start()] + " ")
+        pos, depth = found.end(), int(found.group() == "/-")
+        while depth:
+            edge = _BLOCK_EDGE.search(source, pos)
+            if edge is None:
+                pos, depth = len(source), 0
+            else:
+                pos, depth = edge.end(), depth + (1 if edge.group() == "/-" else -1)
+    kept.append(source[pos:])
+    return "".join(kept)
+
+
 def count_sorries(source: str) -> int:
-    """Occurrences of the standalone token sorry in the source."""
-    return len(_SORRY_TOKEN.findall(source))
+    """Occurrences of the standalone token sorry in the code of the source."""
+    return len(_SORRY_TOKEN.findall(_lean_code(source)))
 
 
 def classify(diagnostics: Sequence[Diagnostic], source: str) -> frozenset:
     """Total, pure mapping from diagnostics plus source to error classes.
 
     Every diagnostic contributes at least one class (Other as fallback);
-    a source containing the standalone token sorry contributes
+    a source whose code has the standalone token sorry contributes
     SorryPresent regardless of diagnostics.
     """
+    return _classify(diagnostics, count_sorries(source))
+
+
+def _classify(diagnostics: Sequence[Diagnostic], sorries: int) -> frozenset:
     classes = set()
     for diag in diagnostics:
         matched = False
@@ -160,7 +193,7 @@ def classify(diagnostics: Sequence[Diagnostic], source: str) -> frozenset:
                 break
         if not matched:
             classes.add(ErrorClass.OTHER)
-    if _SORRY_TOKEN.search(source):
+    if sorries:
         classes.add(ErrorClass.SORRY_PRESENT)
     return frozenset(classes)
 
@@ -362,12 +395,14 @@ class LeanVerifier:
     ) -> VerificationOutcome:
         diags = tuple(parse_diagnostics(output))
         sorries = count_sorries(project.source_text)
-        classes = classify(diags, project.source_text)
+        classes = _classify(diags, sorries)
         has_errors = any(d.severity == "error" for d in diags)
+        # a sorry the compiler reports counts even where the source count missed it
+        sorry_free = ErrorClass.SORRY_PRESENT not in classes
         if timed_out:
             status = VerifyStatus.TIMEOUT
             classes = classes | {ErrorClass.TIMEOUT}
-        elif returncode == 0 and not has_errors and sorries == 0:
+        elif returncode == 0 and not has_errors and sorry_free:
             status = VerifyStatus.VERIFIED
         else:
             status = VerifyStatus.COMPILE_FAILED

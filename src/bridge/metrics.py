@@ -213,17 +213,16 @@ def _fmt(value) -> str:
     return f"{float(value):.4f}"
 
 
-ROW_COLUMNS = (
-    ["model", "strategy", "temperature", "success_predicate", "problems", "chains", "successes"]
-    + [f"pass@{k}" for k in DEFAULT_K_LADDER]
-    + [
-        "success_avg_words",
-        "success_avg_tokens",
-        "failure_avg_words",
-        "failure_avg_tokens",
-    ]
-    + [f"err_{c}" for c in ERROR_CLASSES]
-)
+def _row_header(k_ladder: Sequence[int]) -> List[str]:
+    """The rows.csv column names, with one pass@k column per ladder step."""
+    return (
+        ["model", "strategy", "temperature", "success_predicate"]
+        + ["problems", "chains", "successes"]
+        + [f"pass@{k}" for k in k_ladder]
+        + ["success_avg_words", "success_avg_tokens"]
+        + ["failure_avg_words", "failure_avg_tokens"]
+        + [f"err_{c}" for c in ERROR_CLASSES]
+    )
 
 
 def _row_to_csv(row: MetricRow, k_ladder: Sequence[int]) -> List[str]:
@@ -271,12 +270,7 @@ def emit_report(
     rows_path = out_dir / "rows.csv"
     with open(rows_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        header = (
-            ROW_COLUMNS[:7]
-            + [f"pass@{k}" for k in k_ladder]
-            + ROW_COLUMNS[7 + len(DEFAULT_K_LADDER):]
-        )
-        writer.writerow(header)
+        writer.writerow(_row_header(k_ladder))
         for row in rows:
             writer.writerow(_row_to_csv(row, k_ladder))
 

@@ -26,6 +26,12 @@ OUTPUT_CAP = 1 << 20
 # longest text a record carries, so that honest records stay far below the cap
 TEXT_CAP = 1000
 WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_TRUNC
+# audit events that change the file system, and how many leading arguments
+# are paths; os.replace raises os.rename
+PATH_ARGS = dict.fromkeys(
+    ["os.remove", "os.rmdir", "os.mkdir", "os.chmod", "os.chown", "os.utime",
+     "os.truncate", "shutil.rmtree"], 1)
+PATH_ARGS.update(dict.fromkeys(["os.rename", "os.link", "os.symlink"], 2))
 
 
 def emit(rec):
@@ -40,24 +46,25 @@ def clip(text):
 def install_sandbox(workdir):
     root = os.path.realpath(workdir)
 
-    def inside(target):
-        return os.path.commonpath([root, target]) == root
+    def check(path):
+        if isinstance(path, int):  # a call on an open descriptor
+            path = "/proc/self/fd/%d" % path
+        target = os.path.realpath(os.fsdecode(path))
+        if os.path.commonpath([root, target]) != root:
+            raise RuntimeError("write blocked outside sandbox: %s" % target)
 
     def hook(event, args):
-        if event == "open":
+        if event == "open" and not isinstance(args[0], int):
             path, mode, flags = args[0], args[1], args[2]
             if mode is None:
                 writes = flags & WRITE_FLAGS  # os.open gives flags, not a mode
             else:
                 writes = any(ch in mode for ch in "wax+")
-            if writes:
-                target = os.path.realpath(str(path))
-                if not inside(target):
-                    raise RuntimeError("write blocked outside sandbox: %s" % target)
-        elif event in ("os.remove", "os.rename", "shutil.rmtree"):
-            target = os.path.realpath(str(args[0]))
-            if not inside(target):
-                raise RuntimeError("file mutation blocked outside sandbox: %s" % target)
+            # a descriptor of an outside directory would let dir_fd calls out
+            if writes or os.path.isdir(path):
+                check(path)
+        for path in args[:PATH_ARGS.get(event, 0)]:
+            check(path)
 
     sys.addaudithook(hook)
 

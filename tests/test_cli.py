@@ -76,6 +76,16 @@ class TestRunCommand:
         assert code == 5
         assert "error:" in err
 
+    def test_mock_miss_exit_code(self, capsys, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text('{"entries": []}', encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "run", "--config", MINI_CONFIG,
+            "--runs-root", str(tmp_path / "runs"),
+            "--override", "gateway.mode=mock", "--override", f"gateway.script={script}")
+        assert code == 5
+        assert "no mock completions" in err
+
     def test_missing_transcript_bank_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "run", "--config", MINI_CONFIG,

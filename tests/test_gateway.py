@@ -69,78 +69,60 @@ class TestCountTokens:
         assert tokens == (3 * 1383 + 500) // 1000
 
 
-def mock_gateway(entries, default=None):
-    script = {"entries": entries}
-    if default is not None:
-        script["default"] = default
-    return ModelGateway("mock", script=script)
+def mock_gateway(entries):
+    return ModelGateway("mock", script={"entries": entries})
+
+
+def entry(prompt, index, text, **extra):
+    return {"digest": prompt_digest("m", prompt, P), "sample_index": index,
+            "text": text, **extra}
 
 
 class TestMockMode:
     def test_digest_match(self):
         digest = prompt_digest("m", "the prompt", P)
-        gw = mock_gateway([{"digest": digest, "text": "scripted"}])
+        gw = mock_gateway([entry("other prompt", 0, "wrong"),
+                           entry("the prompt", 0, "scripted")])
         recs = gw.complete_n("m", "the prompt", P)
         assert [r.text for r in recs] == ["scripted"]
         assert recs[0].prompt_digest == digest
 
-    def test_key_substring_match(self):
-        gw = mock_gateway([{"key": "majority element", "text": "hit"}])
-        recs = gw.complete_n("m", "Find the majority element in a list.", P)
-        assert recs[0].text == "hit"
-
-    def test_first_match_wins(self):
-        gw = mock_gateway([
-            {"key": "element", "text": "first"},
-            {"key": "majority element", "text": "second"},
-        ])
-        recs = gw.complete_n("m", "majority element task", P)
-        assert recs[0].text == "first"
-
-    def test_model_filter(self):
-        gw = mock_gateway([
-            {"key": "task", "model": "other", "text": "wrong"},
-            {"key": "task", "model": "m", "text": "right"},
-        ])
-        assert gw.complete_n("m", "the task", P)[0].text == "right"
-
-    def test_round_filter_reads_retry_header(self):
-        gw = mock_gateway([
-            {"key": "task", "round": 2, "text": "round two"},
-            {"key": "task", "text": "round one"},
-        ])
-        first = gw.complete_n("m", "the task", P)[0].text
-        retry = gw.complete_n("m", "# RETRY ATTEMPT 1/3\nthe task", P)[0].text
-        assert first == "round one"
-        assert retry == "round two"
-
     def test_sample_index_filter(self):
-        gw = mock_gateway([
-            {"key": "task", "sample_index": 1, "text": "b"},
-            {"key": "task", "text": "a"},
-        ])
+        # entries may come in any order; records follow sample_index
+        gw = mock_gateway([entry("the task", 1, "b"), entry("the task", 0, "a")])
         p2 = DecodingParams(temperature=0.7, max_tokens=256, n_samples=2, seed=5)
         recs = gw.complete_n("m", "the task", p2)
         assert [r.text for r in recs] == ["a", "b"]
         assert [r.sample_index for r in recs] == [0, 1]
-
-    def test_entry_without_selector_never_matches(self):
-        gw = mock_gateway([{"model": "m", "text": "too broad"}],
-                          default="fallback")
-        assert gw.complete_n("m", "anything", P)[0].text == "fallback"
-
-    def test_default_fallback(self):
-        gw = mock_gateway([{"key": "nope", "text": "x"}], default="fallback")
-        assert gw.complete_n("m", "anything", P)[0].text == "fallback"
+        assert [r.text for r in gw.complete_n("m", "the task", P)] == ["a"]
 
     def test_miss_without_default_raises(self):
-        gw = mock_gateway([{"key": "nope", "text": "x"}])
-        with pytest.raises(GatewayError):
+        gw = mock_gateway([entry("the task", 0, "x")])
+        with pytest.raises(ReplayMissError):
             gw.complete_n("m", "anything", P)
+        p2 = DecodingParams(temperature=0.7, max_tokens=256, n_samples=2, seed=5)
+        with pytest.raises(ReplayMissError):
+            gw.complete_n("m", "the task", p2)
+
+    def test_retry_header_is_not_read(self):
+        retry = "# RETRY ATTEMPT 1/3\nthe task"
+        gw = mock_gateway([entry("the task", 0, "first"), entry(retry, 0, "retry")])
+        assert gw.complete_n("m", retry, P)[0].text == "retry"
+        assert gw.complete_n("m", "the task", P)[0].text == "first"
+
+    @pytest.mark.parametrize("entries", [
+        [{"sample_index": 0, "text": "t"}],
+        [{"digest": "d" * 64, "text": "t"}],
+        [entry("the task", 0, "a"), entry("the task", 0, "b")],
+        [entry("the task", 0, "a"), entry("the task", 2, "c")],
+    ], ids=["missing-digest", "missing-index", "repeat", "gap"])
+    def test_malformed_script_is_a_config_error(self, entries):
+        with pytest.raises(ConfigError, match=f"entry {len(entries) - 1}"):
+            mock_gateway(entries)
 
     def test_reported_tokens_and_latency_pass_through(self):
         gw = mock_gateway([
-            {"key": "task", "text": "t", "reported_tokens": 42, "latency": 1.5},
+            entry("the task", 0, "t", reported_tokens=42, latency=1.5),
         ])
         rec = gw.complete_n("m", "the task", P)[0]
         assert rec.reported_tokens == 42 and rec.latency == 1.5
@@ -151,7 +133,7 @@ class TestMockMode:
 
     def test_script_loaded_from_file(self, tmp_path):
         path = tmp_path / "script.json"
-        path.write_text(json.dumps({"entries": [{"key": "task", "text": "file"}]}),
+        path.write_text(json.dumps({"entries": [entry("the task", 0, "file")]}),
                         encoding="utf-8")
         gw = ModelGateway("mock", script=path)
         assert gw.complete_n("m", "the task", P)[0].text == "file"
@@ -321,8 +303,7 @@ class TestRecordReplay:
 class TestLiveRetry:
     def make_gateway(self, transport, sleeps):
         return ModelGateway("live", providers=PROVIDERS, transport=transport,
-                            sleep=sleeps.append, max_attempts=3,
-                            backoff_base=0.5)
+                            sleep=sleeps.append)
 
     def test_transient_failures_retried_with_backoff(self, monkeypatch):
         monkeypatch.setenv("BRIDGE_ACME_KEY", "k")

@@ -59,6 +59,21 @@ class TestCountSorries:
         assert count_sorries("-- no placeholders here") == 0
         assert count_sorries("by sorry\nexact sorry") == 2
 
+    @pytest.mark.parametrize("source, expected", [
+        ("/- outer /- sorry -/ still a comment: sorry -/\ndef f := 1", 0),
+        ("/-- doc: sorry is not used -/\ndef f : Int := 1", 0),
+        ('def s := "-- not a comment" ++ sorry', 1),
+        ("def g := f c' '\"'\ntheorem t : True := sorry\ndef s := \"done\"", 1),
+        ("theorem t (h' : a = b) : b = a := by exact h'.symm.trans sorry", 1),
+        ("def f := 1\n/- left open, sorry", 0),
+        ('def s := r#"x"sorry"#', 0),
+        ('def s := r"no escape\\" ++ sorry', 1),
+    ], ids=["nested-block", "doc-comment", "dashes-in-string", "quote-char",
+            "primed-identifier", "unterminated-block", "raw-string",
+            "raw-string-backslash"])
+    def test_comments_and_literals_do_not_count(self, source, expected):
+        assert count_sorries(source) == expected
+
 
 def diag(message, severity="error"):
     return Diagnostic("Candidate.lean", 1, 0, severity, message)
@@ -233,6 +248,22 @@ class TestVerifierTranscripts:
                                 {"returncode": 0, "output": ""})
         outcome = v.check(project)
         assert outcome.status is VerifyStatus.VERIFIED
+
+    def test_sorry_in_comment_still_verified(self, tmp_path):
+        v, project = self.build(tmp_path, "def f : Int := 1 -- no sorry needed",
+                                {"returncode": 0, "output": ""})
+        outcome = v.check(project)
+        assert outcome.status is VerifyStatus.VERIFIED
+        assert outcome.sorry_count == 0
+
+    def test_reported_sorry_never_verifies(self, tmp_path):
+        # the compiler saw a sorry that the source count did not
+        out = "Candidate.lean:3:0: warning: declaration uses 'sorry'\n"
+        v, project = self.build(tmp_path, "def f : Int := 1",
+                                {"returncode": 0, "output": out})
+        outcome = v.check(project)
+        assert outcome.status is VerifyStatus.COMPILE_FAILED
+        assert outcome.error_classes == frozenset({ErrorClass.SORRY_PRESENT})
 
     def test_transcript_failure_classified(self, tmp_path):
         out = (

@@ -226,7 +226,7 @@ class TestSandbox:
             siblings = list(tmp_path.glob("bridge-py-*X"))
             for sibling in siblings:
                 shutil.rmtree(sibling)
-        assert len(siblings) == 1
+        assert len(siblings) == 0
 
     def test_os_open_for_writing_is_blocked(self, tmp_path, monkeypatch):
         # os.open reports flags and no mode string to the audit hook
@@ -241,6 +241,49 @@ class TestSandbox:
         assert outcome.fault == "RuntimeError"
         assert all("write blocked" in f["error"] for f in outcome.failures)
         assert list(tmp_path.glob("*-leak.txt")) == []
+
+    @pytest.mark.parametrize("attack", [
+        "open('f', 'w').close()\n    os.rename('f', OUT + '/moved')",
+        "open('f', 'w').close()\n    os.replace('f', OUT + '/moved')",
+        "d = os.open(OUT, os.O_RDONLY)\n"
+        "    os.close(os.open('x', os.O_WRONLY | os.O_CREAT, dir_fd=d))",
+        "os.link(VICTIM, 'h')\n    open('h', 'w').write('leak')",
+        "os.symlink('anything', OUT + '/link')",
+        "os.mkdir(OUT + '/made')",
+        "os.rmdir(OUT + '/empty')",
+        "os.chmod(VICTIM, 0o777)",
+        "os.fchmod(os.open(VICTIM, os.O_RDONLY), 0o777)",
+        "os.chown(VICTIM, os.getuid(), os.getgid())",
+        "os.utime(VICTIM, (0, 0))",
+        "os.truncate(VICTIM, 0)",
+        "open(VICTIM.encode(), 'w').write('leak')",
+    ], ids=["rename", "replace", "dir-fd", "link", "symlink", "mkdir", "rmdir",
+            "chmod", "fchmod", "chown", "utime", "truncate", "bytes-path"])
+    def test_change_outside_workdir_blocked(self, tmp_path, attack):
+        victim = tmp_path / "victim.txt"
+        victim.write_text("keep me", encoding="utf-8")
+        victim.chmod(0o644)
+        (tmp_path / "empty").mkdir()
+
+        def snapshot():
+            return sorted(
+                (p.name, p.stat().st_mode, p.stat().st_nlink, p.stat().st_mtime_ns,
+                 p.read_bytes() if p.is_file() else None)
+                for p in tmp_path.iterdir())
+
+        before = snapshot()
+        src = (
+            "import os\n"
+            f"OUT = {str(tmp_path)!r}\n"
+            f"VICTIM = {str(victim)!r}\n"
+            "def addInts(a, b):\n"
+            f"    {attack}\n"
+            "    return a + b\n"
+        )
+        outcome = pyexec.run_tests(src, ADD)
+        assert outcome.fault == "RuntimeError"
+        assert all("write blocked" in f["error"] for f in outcome.failures)
+        assert snapshot() == before
 
     @pytest.mark.parametrize("leftover", [
         "",
