@@ -94,14 +94,19 @@ class LeanProject:
 _DIAG_LINE = re.compile(r"^([^:\n]+):(\d+):(\d+): (error|warning|info): (.*)$")
 _SORRY_TOKEN = re.compile(r"\bsorry\b")
 # what can hide a sorry: a block comment's start (they nest, so its end is
-# found by counting), a line comment, a raw string (no escapes), a string, and
-# a char literal, whose quote cannot follow an identifier character as the
-# prime of h' does
-_NOT_CODE = re.compile(
-    r"""/-|--[^\n]*|(?<![\w'])r(#*)"[\s\S]*?"\1|"(?:\\[\s\S]|[^"\\])*"?"""
-    r"""|(?<![\w'])'(?:\\.[^'\n]*|[^\\'\n])'"""
+# found by counting), a line comment, a raw string (no escapes), the start of
+# an interpolated string, a char literal, whose quote cannot follow an
+# identifier character as the prime of h' does, and a string
+_HIDERS = (
+    r"""/-|--[^\n]*|(?<![\w'])(?:r(#*)"[\s\S]*?"\1|(?P<interpolated>[smf]!")"""
+    r"""|'(?:\\.[^'\n]*|[^\\'\n])')|"(?:\\[\s\S]|[^"\\])*"?"""
 )
+_NOT_CODE = re.compile(_HIDERS)
+# inside a {code} part, braces are counted to find where it ends
+_NOT_CODE_OR_BRACE = re.compile(_HIDERS + "|[{}]")
 _BLOCK_EDGE = re.compile(r"/-|-/")
+# an interpolated string's text up to its end or its next {code} part
+_INTERPOLATED_TEXT = re.compile(r'(?:\\[\s\S]?|[^"\\{])*("|\{)?')
 
 # Ordered classification rules: first matching pattern set wins per
 # diagnostic; unmatched diagnostics fall through to Other.
@@ -150,13 +155,29 @@ def parse_diagnostics(output: str) -> List[Diagnostic]:
 def _lean_code(source: str) -> str:
     """The source with each comment and string or char literal made a space.
 
-    Block comments nest, doc comments included; one left open, like an
-    unclosed string, runs to the end of the source.
+    The {code} parts of an s!, m! or f! string stay code.  Block comments
+    nest, doc comments included; one left open, like an unclosed string,
+    runs to the end of the source.
     """
-    kept, pos = [], 0
-    while (found := _NOT_CODE.search(source, pos)) is not None:
-        kept.append(source[pos:found.start()] + " ")
-        pos, depth = found.end(), int(found.group() == "/-")
+    kept, pos, opened = [], 0, []  # open braces inside each {code} part
+    while (found := (_NOT_CODE_OR_BRACE if opened else _NOT_CODE).search(source, pos)):
+        token = found.group()
+        kept.append(source[pos:found.start()])
+        pos = found.end()
+        if token == "{" or token == "}" and opened[-1]:
+            kept.append(token)
+            opened[-1] += 1 if token == "{" else -1
+            continue
+        kept.append(" ")
+        if token == "}":  # a {code} part ends and its string goes on
+            opened.pop()
+        if token == "}" or found.group("interpolated"):
+            text = _INTERPOLATED_TEXT.match(source, pos)
+            pos = text.end()
+            if text.group(1) == "{":
+                opened.append(0)
+            continue
+        depth = int(token == "/-")
         while depth:
             edge = _BLOCK_EDGE.search(source, pos)
             if edge is None:

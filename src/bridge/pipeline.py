@@ -333,6 +333,8 @@ class Orchestrator:
         self.catalog = TemplateCatalog()
         self.gateway = gateway if gateway is not None else build_gateway(config)
         self.verifier = verifier if verifier is not None else build_verifier(config)
+        # (problem id, body) -> outcome; Timeout and Crash may be the host's fault
+        self._python_outcomes: Dict[Tuple[str, str], pyexec.TestOutcome] = {}
         # domain -> (artifact pick, check, after-chain step)
         self._backends = {
             "code": (_pick("code", 0), self._check_lean, None),
@@ -460,9 +462,14 @@ class Orchestrator:
     # --- backends ------------------------------------------------------
 
     def _check_python(self, body: str, problem: Problem) -> Verdict:
-        outcome = pyexec.run_tests(
-            body, problem, timeout=float(self.config.python["timeout"])
-        )
+        key = (problem.id, body)
+        outcome = self._python_outcomes.get(key)
+        if outcome is None:
+            outcome = pyexec.run_tests(
+                body, problem, timeout=float(self.config.python["timeout"])
+            )
+            if outcome.fault not in ("Timeout", "Crash"):
+                self._python_outcomes[key] = outcome
         errors = []
         for failure in outcome.failures:
             index = failure.get("index")

@@ -63,7 +63,12 @@ def install_sandbox(workdir):
             # a descriptor of an outside directory would let dir_fd calls out
             if writes or os.path.isdir(path):
                 check(path)
-        for path in args[:PATH_ARGS.get(event, 0)]:
+        paths = list(args[:PATH_ARGS.get(event, 0)])
+        if event == "os.symlink":
+            # the kernel reads a relative target from the link's directory
+            paths[0] = os.path.join(
+                os.path.dirname(os.fsdecode(args[1])), os.fsdecode(args[0]))
+        for path in paths:
             check(path)
 
     sys.addaudithook(hook)

@@ -11,6 +11,7 @@ product decision, not a test fix.
 """
 
 import collections
+import hashlib
 import itertools
 import json
 import re
@@ -42,6 +43,14 @@ EXPECTED_REPORT = ROOT / "tests" / "data" / "expected_report"
 LABELED = ROOT / "fixtures" / "transcripts" / "labeled_diagnostics.jsonl"
 E2E_CONFIG = ROOT / "fixtures" / "configs" / "e2e.json"
 MINI_CONFIG = ROOT / "fixtures" / "configs" / "mini_replay.json"
+# SHA-256 of the e2e mock run's outputs, so that a change which moves their
+# bytes the same way in every run still fails
+E2E_DIGESTS = {
+    "chains.jsonl": "0c86ad46d3e4f51cd853100dc33765b018515cc001609f9f3be5652c45c1a09b",
+    "report/rows.csv": "4b09c66be7f1137e7cab468034647c589f351bd16327d55b0c99344fbfd97de8",
+    "report/curves.jsonl":
+        "aaa741f6d63ca949dd367ed5662a958aa7516384536a696d3bc2b7c324be0768",
+}
 
 
 @contextmanager
@@ -274,10 +283,11 @@ def test_06_e2e_mock_run_deterministic(acceptance_log, tmp_path, monkeypatch):
             assert statuses == {
                 "Success": 216, "Failure": 228, "NoArtifact": 36,
             }
-        for name in ("chains.jsonl", "report/rows.csv", "report/curves.jsonl"):
+        for name, digest in E2E_DIGESTS.items():
             a = (results[0].run_dir / name).read_bytes()
             b = (results[1].run_dir / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
+            assert hashlib.sha256(a).hexdigest() == digest, f"{name} bytes moved"
         assert elapsed < 60.0, f"two runs took {elapsed:.2f}s, budget 60s"
 
 

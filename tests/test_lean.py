@@ -68,9 +68,18 @@ class TestCountSorries:
         ("def f := 1\n/- left open, sorry", 0),
         ('def s := r#"x"sorry"#', 0),
         ('def s := r"no escape\\" ++ sorry', 1),
+        ('def s := s!"{sorry}"', 1),
+        ('def s := m!"{sorry}"', 1),
+        ('def s := s!"sorry {x}"', 0),
+        ('def s := "{sorry}"', 0),
+        ('def s := s!"{f {x := 1} "}"} \\{sorry}" ++ sorry', 1),
+        ('def m := IO.println "Hi!"\ntheorem t : True := sorry', 1),
+        ('-- wow!"\ntheorem t : True := sorry', 1),
     ], ids=["nested-block", "doc-comment", "dashes-in-string", "quote-char",
             "primed-identifier", "unterminated-block", "raw-string",
-            "raw-string-backslash"])
+            "raw-string-backslash", "interpolated", "interpolated-message",
+            "interpolated-text", "plain-braces", "interpolated-nesting",
+            "string-ends-in-bang", "comment-ends-in-bang"])
     def test_comments_and_literals_do_not_count(self, source, expected):
         assert count_sorries(source) == expected
 
@@ -264,6 +273,14 @@ class TestVerifierTranscripts:
         outcome = v.check(project)
         assert outcome.status is VerifyStatus.COMPILE_FAILED
         assert outcome.error_classes == frozenset({ErrorClass.SORRY_PRESENT})
+
+    def test_interpolated_sorry_never_verifies(self, tmp_path):
+        # a transcript that lacks the sorry warning cannot hide this one
+        v, project = self.build(tmp_path, 'def s : String := s!"{sorry}"',
+                                {"returncode": 0, "output": ""})
+        outcome = v.check(project)
+        assert outcome.status is not VerifyStatus.VERIFIED
+        assert outcome.sorry_count == 1
 
     def test_transcript_failure_classified(self, tmp_path):
         out = (

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -438,6 +439,48 @@ class TestSpecAnnotations:
         assert chain["final_status"] == "Failure"
         assert "contracts" not in chain["annotations"]
         assert "vacuity" not in chain["annotations"]
+
+
+class TestPythonCheckReuse:
+    TWO_SAMPLES = {"temperature": 0.7, "max_tokens": 512, "n_samples": 2}
+
+    def count_calls(self, monkeypatch, run_tests=pyexec.run_tests):
+        calls = []
+
+        def counted(body, problem, **kwargs):
+            calls.append((problem.id, body))
+            return run_tests(body, problem, **kwargs)
+
+        monkeypatch.setattr(pyexec, "run_tests", counted)
+        return calls
+
+    def test_repeated_body_checked_once(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        result, _ = run_spec_chain(tmp_path, [GOOD_PY], decoding=self.TWO_SAMPLES)
+        first, second = (chain["rounds"][0]["outcome"] for chain in result.chains)
+        assert len(calls) == 1
+        assert first == second
+        assert first is not second
+
+    def test_same_body_on_two_problems_checked_twice(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        again = dataclasses.replace(ADD, id="add-ints-again")
+        orch = Orchestrator(make_config(tmp_path), gateway=LadderGateway([GOOD_PY]),
+                            verifier=LeanVerifier(transcripts={}),
+                            problems=[ADD, again])
+        assert [c["final_status"] for c in orch.run().chains] == ["Success"] * 2
+        assert sorted(problem_id for problem_id, _ in calls) == [ADD.id, again.id]
+        assert len({body for _, body in calls}) == 1
+
+    @pytest.mark.parametrize("fault", ["Timeout", "Crash"])
+    def test_host_faults_are_checked_again(self, tmp_path, monkeypatch, fault):
+        outcomes = iter([pyexec.TestOutcome(total=2, passed=0, fault=fault),
+                         pyexec.TestOutcome(total=2, passed=2)])
+        calls = self.count_calls(monkeypatch, lambda *args, **kwargs: next(outcomes))
+        result, _ = run_spec_chain(
+            tmp_path, [GOOD_PY], decoding=self.TWO_SAMPLES, max_retries=0)
+        assert len(calls) == 2
+        assert [c["final_status"] for c in result.chains] == ["Failure", "Success"]
 
 
 PROOF_COMPLETION = """```lean

@@ -257,8 +257,10 @@ class TestSandbox:
         "os.utime(VICTIM, (0, 0))",
         "os.truncate(VICTIM, 0)",
         "open(VICTIM.encode(), 'w').write('leak')",
+        "os.symlink('../x', 'l')",
     ], ids=["rename", "replace", "dir-fd", "link", "symlink", "mkdir", "rmdir",
-            "chmod", "fchmod", "chown", "utime", "truncate", "bytes-path"])
+            "chmod", "fchmod", "chown", "utime", "truncate", "bytes-path",
+            "relative-symlink"])
     def test_change_outside_workdir_blocked(self, tmp_path, attack):
         victim = tmp_path / "victim.txt"
         victim.write_text("keep me", encoding="utf-8")
@@ -284,6 +286,19 @@ class TestSandbox:
         assert outcome.fault == "RuntimeError"
         assert all("write blocked" in f["error"] for f in outcome.failures)
         assert snapshot() == before
+
+    def test_relative_symlink_read_from_link_directory(self):
+        # the kernel reads "../x" from a/b, so the link points at a/x, inside
+        src = (
+            "import os\n"
+            "def addInts(a, b):\n"
+            "    os.makedirs('a/b', exist_ok=True)\n"
+            "    if not os.path.lexists('a/b/link'):\n"
+            "        os.symlink('../x', 'a/b/link')\n"
+            "    return a + b\n"
+        )
+        outcome = pyexec.run_tests(src, ADD)
+        assert outcome.all_passed, outcome
 
     @pytest.mark.parametrize("leftover", [
         "",
