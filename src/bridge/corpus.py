@@ -1,4 +1,4 @@
-"""Problem corpus: manifest loading, validation, and filtering.
+"""Problem corpus: manifest loading and validation.
 
 A manifest is UTF-8 JSONL, one problem object per line. Test inputs and
 expected outputs are stored as literal text in the grammar implemented by
@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from . import literals
 from .errors import CorpusError
@@ -234,50 +234,3 @@ def load_manifest(path: Union[str, Path]) -> ProblemSet:
         seen.add(problem.id)
         problems.append(problem)
     return ProblemSet(problems=tuple(problems))
-
-
-def _problem_to_obj(problem: Problem) -> dict:
-    obj = {
-        "id": problem.id,
-        "title": problem.title,
-        "statement": problem.statement,
-        "function_name": problem.function_name,
-        "params": [[n, t] for n, t in problem.params],
-        "return_type": problem.return_type,
-        "tests": [],
-        "category": problem.category,
-    }
-    for test in problem.tests:
-        t = {"inputs": list(test.inputs), "expected": test.expected}
-        if test.order_insensitive:
-            t["order_insensitive"] = True
-        obj["tests"].append(t)
-    if problem.difficulty is not None:
-        obj["difficulty"] = problem.difficulty
-    return obj
-
-
-def save_manifest(problems: ProblemSet, path: Union[str, Path]) -> None:
-    """Write a ProblemSet as JSONL. load_manifest(save_manifest(s)) == s."""
-    path = Path(path)
-    lines = [
-        json.dumps(_problem_to_obj(p), ensure_ascii=False, sort_keys=True)
-        for p in problems
-    ]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-def filter_problems(
-    problems: ProblemSet, by: Union[str, Sequence[str]]
-) -> ProblemSet:
-    """Filter by category tag (string) or by an ordered id list.
-
-    Order of the original set is preserved; unknown tags or ids simply
-    select nothing.
-    """
-    if isinstance(by, str):
-        kept = tuple(p for p in problems if p.category == by)
-    else:
-        wanted = set(by)
-        kept = tuple(p for p in problems if p.id in wanted)
-    return ProblemSet(problems=kept)

@@ -57,13 +57,7 @@ class Diagnostic:
     message: str
 
     def to_obj(self) -> dict:
-        return {
-            "file": self.file,
-            "line": self.line,
-            "column": self.column,
-            "severity": self.severity,
-            "message": self.message,
-        }
+        return dict(vars(self))  # the fields, in order; asdict is far slower
 
 
 @dataclass(frozen=True)
@@ -95,10 +89,12 @@ _DIAG_LINE = re.compile(r"^([^:\n]+):(\d+):(\d+): (error|warning|info): (.*)$")
 _SORRY_TOKEN = re.compile(r"\bsorry\b")
 # what can hide a sorry: a block comment's start (they nest, so its end is
 # found by counting), a line comment, a raw string (no escapes), the start of
-# an interpolated string, a char literal, whose quote cannot follow an
-# identifier character as the prime of h' does, and a string
+# an interpolated string (s!, m! or f!, or a plain string right after
+# throwError, dbg_trace, println! or trace[...]), a char literal, whose quote
+# cannot follow an identifier character as the prime of h' does, and a string
 _HIDERS = (
-    r"""/-|--[^\n]*|(?<![\w'])(?:r(#*)"[\s\S]*?"\1|(?P<interpolated>[smf]!")"""
+    r"""/-|--[^\n]*|(?<![\w'])(?:r(#*)"[\s\S]*?"\1|(?P<interpolated>[smf]!"|"""
+    r"""(?:throwError|dbg_trace|println!|trace\[[^\]\n]*\])\s*")"""
     r"""|'(?:\\.[^'\n]*|[^\\'\n])')|"(?:\\[\s\S]|[^"\\])*"?"""
 )
 _NOT_CODE = re.compile(_HIDERS)
@@ -128,27 +124,19 @@ def parse_diagnostics(output: str) -> List[Diagnostic]:
     Lines that do not start a new record are treated as continuations of
     the current message; leading noise before the first record is dropped.
     """
-    diags: List[Diagnostic] = []
-    current: Optional[dict] = None
+    heads: List[Tuple[str, int, int, str]] = []
+    messages: List[List[str]] = []
     for line in output.splitlines():
         match = _DIAG_LINE.match(line)
         if match:
-            if current is not None:
-                diags.append(Diagnostic(**current))
-            current = {
-                "file": match.group(1),
-                "line": int(match.group(2)),
-                "column": int(match.group(3)),
-                "severity": match.group(4),
-                "message": match.group(5),
-            }
-        elif current is not None:
-            current["message"] = current["message"] + "\n" + line
-    if current is not None:
-        diags.append(Diagnostic(**current))
+            file, line_no, column, severity, message = match.groups()
+            heads.append((file, int(line_no), int(column), severity))
+            messages.append([message])
+        elif messages:
+            messages[-1].append(line)
     return [
-        Diagnostic(d.file, d.line, d.column, d.severity, d.message.rstrip("\n"))
-        for d in diags
+        Diagnostic(*head, "\n".join(lines).rstrip("\n"))
+        for head, lines in zip(heads, messages)
     ]
 
 
@@ -193,17 +181,9 @@ def count_sorries(source: str) -> int:
     return len(_SORRY_TOKEN.findall(_lean_code(source)))
 
 
-def classify(diagnostics: Sequence[Diagnostic], source: str) -> frozenset:
-    """Total, pure mapping from diagnostics plus source to error classes.
-
-    Every diagnostic contributes at least one class (Other as fallback);
-    a source whose code has the standalone token sorry contributes
-    SorryPresent regardless of diagnostics.
-    """
-    return _classify(diagnostics, count_sorries(source))
-
-
-def _classify(diagnostics: Sequence[Diagnostic], sorries: int) -> frozenset:
+def classify(diagnostics: Sequence[Diagnostic], sorries: int) -> frozenset:
+    """Each diagnostic's error class (Other when no rule matches), plus
+    SorryPresent when the source's code has any sorry."""
     classes = set()
     for diag in diagnostics:
         matched = False
@@ -416,7 +396,7 @@ class LeanVerifier:
     ) -> VerificationOutcome:
         diags = tuple(parse_diagnostics(output))
         sorries = count_sorries(project.source_text)
-        classes = _classify(diags, sorries)
+        classes = classify(diags, sorries)
         has_errors = any(d.severity == "error" for d in diags)
         # a sorry the compiler reports counts even where the source count missed it
         sorry_free = ErrorClass.SORRY_PRESENT not in classes

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__, metrics, proofs, pyexec
-from .corpus import Problem, ProblemSet, filter_problems, load_manifest
+from .corpus import Problem, ProblemSet, load_manifest
 from .errors import ConfigError, NoArtifactError
 from .gateway import CompletionRecord, DecodingParams, ModelGateway, count_tokens
 from .lean import LeanVerifier, VerificationOutcome, VerifyStatus
@@ -175,9 +175,6 @@ class RunConfig:
             if isinstance(value, tuple):
                 out[key] = list(value)
         return out
-
-    def replace(self, **changes) -> "RunConfig":
-        return dataclasses.replace(self, **changes)
 
 
 def _apply_override(obj: Dict, dotted: str, raw: str) -> None:
@@ -341,19 +338,16 @@ class Orchestrator:
             "spec": (_pick("spec", -1), self._check_python, self._spec_checks),
             "proof": (_pick("proof", 0), self._check_lean, self._theorems),
         }
-        if problems is not None:
-            self.problems = list(problems)
-        else:
-            loaded = load_manifest(config.corpus)
+        if problems is None:
+            problems = load_manifest(config.corpus)
             if config.problems:
-                self.problems = filter_problems(loaded, list(config.problems))
-                missing = set(config.problems) - {p.id for p in self.problems}
+                missing = set(config.problems) - {p.id for p in problems}
                 if missing:
                     raise ConfigError(
                         f"config selects unknown problems: {sorted(missing)}"
                     )
-            else:
-                self.problems = list(loaded)
+                problems = [p for p in problems if p.id in config.problems]
+        self.problems = list(problems)
         if not self.problems:
             raise ConfigError("no problems selected for the run")
 
@@ -607,11 +601,8 @@ class Orchestrator:
         config = self.config
         cell_list = self.cells()
         try:
-            if config.parallelism == 1:
-                nested = [self._run_cell(*cell) for cell in cell_list]
-            else:
-                with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                    nested = list(pool.map(lambda c: self._run_cell(*c), cell_list))
+            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+                nested = list(pool.map(lambda c: self._run_cell(*c), cell_list))
         finally:
             # reaped servers put the sandbox's CPU time in RUSAGE_CHILDREN
             pyexec.shutdown()
@@ -703,7 +694,7 @@ def run_sweep(
         if base_seed is None:
             base_seed = config.seed
         decoding["seed"] = base_seed ^ index
-        point = config.replace(decoding=decoding, temperature_grid=())
+        point = dataclasses.replace(config, decoding=decoding, temperature_grid=())
         orchestrator = Orchestrator(
             point, gateway=gateway, verifier=verifier, problems=problems
         )

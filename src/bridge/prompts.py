@@ -172,12 +172,7 @@ class TemplateCatalog:
                 raise TemplateError(f"cannot read template {path}: {exc}") from None
         return self._cache[relative]
 
-    def render(
-        self,
-        strategy: StrategyId,
-        problem: Problem,
-        extra: Optional[Mapping[str, str]] = None,
-    ) -> str:
+    def render(self, strategy: StrategyId, problem: Problem) -> str:
         """Render the initial-generation prompt for a strategy and problem.
 
         Byte-deterministic; raises TemplateError if any placeholder of
@@ -195,9 +190,7 @@ class TemplateCatalog:
 
         body = _SWAP.sub(swap_repl, body)
         values = problem_values(problem)
-        values.setdefault("lean_context", "")
-        if extra:
-            values.update({k: str(v) for k, v in extra.items()})
+        values["lean_context"] = ""
         rendered = _substitute(body, values, where)
         _check_leftovers(rendered, where)
         return rendered.rstrip("\n") + "\n"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import ast
 import atexit
-import copy
 import json
 import os
 import random
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import sandbox_server
+from . import literals, sandbox_server
 from .corpus import Problem, UnitTest
 from .errors import MutantError, SandboxError
 
@@ -41,16 +40,6 @@ _ENV_ALLOW = ("PATH", "LANG", "LC_ALL", "PYTHONIOENCODING", "SYSTEMROOT")
 
 # run as `<python> -I -c <text>`, so that BRIDGE_PYTHON_CMD wrappers need no file
 _SERVER_SOURCE = Path(sandbox_server.__file__).read_text(encoding="utf-8")
-
-MUTANT_NAMES = (
-    "const-return-zero",
-    "const-return-none",
-    "negate-comparisons",
-    "mirror-comparisons",
-    "return-plus-one",
-    "return-minus-one",
-)
-
 
 @dataclass(frozen=True)
 class TestOutcome:
@@ -86,14 +75,7 @@ class ContractReport:
     faults: int
 
     def to_obj(self) -> Dict[str, object]:
-        return {
-            "type": "contracts",
-            "trials": self.trials,
-            "precondition_rejections": self.precondition_rejections,
-            "postcondition_violations": self.postcondition_violations,
-            "invariant_violations": self.invariant_violations,
-            "faults": self.faults,
-        }
+        return {"type": "contracts", **vars(self)}
 
 
 @dataclass(frozen=True)
@@ -372,30 +354,27 @@ def run_tests(
     )
 
 
-def gen_value(rng, type_text):
-    t = type_text.strip()
-    if t.startswith("(") and t.endswith(")"):
-        t = t[1:-1].strip()
-    if t == "Int":
+def gen_value(rng: random.Random, node: literals.TypeNode) -> object:
+    """A random value of a type parsed by `literals.parse_type`."""
+    if node == "Int":
         return rng.randint(-1000000, 1000000)
-    if t == "Nat":
+    if node == "Nat":
         return rng.randint(0, 1000000)
-    if t == "Bool":
+    if node == "Bool":
         return rng.random() < 0.5
-    if t == "String":
+    if node == "String":
         letters = "abcdefghijklmnopqrstuvwxyz"
         return "".join(rng.choice(letters) for _ in range(rng.randint(0, 32)))
-    if t.startswith("List"):
-        inner = t[4:].strip()
-        bound = 32 if not inner.startswith("List") and not inner.startswith("(") else 6
-        return [gen_value(rng, inner) for _ in range(rng.randint(0, bound))]
-    raise ValueError("cannot generate values of type %s" % type_text)
+    inner = node[1]
+    bound = 6 if isinstance(inner, tuple) else 32
+    return [gen_value(rng, inner) for _ in range(rng.randint(0, bound))]
 
 
 def _probes(problem: Problem, trials: int, seed: int) -> List[List[object]]:
     """`trials` argument lists drawn at random for the problem's parameter types."""
     rng = random.Random(seed)
-    return [[gen_value(rng, ptype) for _, ptype in problem.params] for _ in range(trials)]
+    nodes = [literals.parse_type(ptype) for _, ptype in problem.params]
+    return [[gen_value(rng, node) for node in nodes] for _ in range(trials)]
 
 
 def _tally(records: Sequence[Dict[str, object]]) -> Dict[str, int]:
@@ -437,47 +416,39 @@ def check_contracts(
 # --- specification vacuity ---------------------------------------------------
 
 
-class _ComparisonFlip(ast.NodeTransformer):
-    def __init__(self, table):
-        self.table = table
-        self.changed = False
+class _Mutator(ast.NodeTransformer):
+    """Flips comparison operators by `flips` and rewrites each return value
+    by `returns(old value)`.  Assert statements encode invariants and are
+    never mutated."""
+
+    def __init__(self, flips=None, returns=None):
+        self.flips = flips or {}
+        self.returns = returns
 
     def visit_Assert(self, node: ast.Assert) -> ast.Assert:
-        # assert statements encode invariants; never mutate them
         return node
 
     def visit_Compare(self, node: ast.Compare) -> ast.Compare:
         self.generic_visit(node)
-        new_ops = []
-        for op in node.ops:
-            repl = self.table.get(type(op))
-            if repl is not None:
-                new_ops.append(repl())
-                self.changed = True
-            else:
-                new_ops.append(op)
-        node.ops = new_ops
-        return node
-
-
-class _ReturnRewrite(ast.NodeTransformer):
-    def __init__(self, builder):
-        self.builder = builder
-        self.changed = False
-
-    def visit_Assert(self, node: ast.Assert) -> ast.Assert:
+        node.ops = [self.flips.get(type(op), type(op))() for op in node.ops]
         return node
 
     def visit_Return(self, node: ast.Return) -> ast.Return:
         self.generic_visit(node)
-        new_value = self.builder(node.value)
-        if new_value is not None:
-            node.value = new_value
-            self.changed = True
+        if self.returns is not None:
+            node.value = self.returns(node.value)
         return node
 
 
-_NEGATE_TABLE = {
+def _plus(delta: int):
+    def build(old):
+        base = old if old is not None else ast.Constant(value=0)
+        return ast.BinOp(left=base, op=ast.Add(), right=ast.Constant(value=delta))
+
+    return build
+
+
+_NEGATE = {
     ast.Eq: ast.NotEq,
     ast.NotEq: ast.Eq,
     ast.Lt: ast.GtE,
@@ -486,82 +457,49 @@ _NEGATE_TABLE = {
     ast.GtE: ast.Lt,
 }
 
-_MIRROR_TABLE = {
+_MIRROR = {
     ast.Lt: ast.Gt,
     ast.Gt: ast.Lt,
     ast.LtE: ast.GtE,
     ast.GtE: ast.LtE,
 }
 
+# each recipe's mutators, in order: the first that changes the source is used
+_RECIPES = {
+    "const-return-zero": [_Mutator(returns=lambda old: ast.Constant(value=0))],
+    "const-return-none": [_Mutator(returns=lambda old: ast.Constant(value=None))],
+    "negate-comparisons": [_Mutator(flips=_NEGATE)],
+    "mirror-comparisons": [_Mutator(flips=_MIRROR)],
+    "return-plus-one": [_Mutator(returns=_plus(1)), _Mutator(returns=_plus(2))],
+    "return-minus-one": [_Mutator(returns=_plus(-1)), _Mutator(returns=_plus(-2))],
+}
 
-def _const_builder(value):
-    def build(_old):
-        return ast.Constant(value=value)
-
-    return build
-
-
-def _offset_builder(delta: int):
-    def build(old):
-        base = old if old is not None else ast.Constant(value=0)
-        return ast.BinOp(left=base, op=ast.Add(), right=ast.Constant(value=delta))
-
-    return build
+MUTANT_NAMES = tuple(_RECIPES)
 
 
-def _find_function(tree: ast.Module, name: str) -> ast.FunctionDef:
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return node
-    raise MutantError(f"candidate does not define a top-level function {name}")
-
-
-def _apply_body_transform(source: str, function_name: str, transformer) -> Optional[str]:
-    """Transform the target function's body; None when nothing changed.
-
-    Decorator lists are left untouched so contract checks survive mutation.
-    """
+def _mutate(source: str, function_name: str, mutator: _Mutator) -> str:
+    """The source with the function's body mutated; its decorators, and so
+    its contracts, are kept."""
     tree = ast.parse(source)
-    target = _find_function(tree, function_name)
-    target.body = [transformer.visit(copy.deepcopy(stmt)) for stmt in target.body]
-    if not transformer.changed:
-        return None
-    ast.fix_missing_locations(tree)
-    return ast.unparse(tree)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == function_name:
+            node.body = [mutator.visit(stmt) for stmt in node.body]
+            return ast.unparse(tree)
+    raise MutantError(f"candidate does not define a top-level function {function_name}")
 
 
-def build_mutants(
-    source: str, function_name: str, names: Sequence[str] = MUTANT_NAMES
-) -> List[Tuple[str, str]]:
+def build_mutants(source: str, function_name: str) -> List[Tuple[str, str]]:
     """Build (name, source) mutants of the target function.
 
-    Transforms that change nothing fall back to a stronger variant; a
+    A recipe whose mutator changes nothing falls back to the next one; a
     problem with no constructible mutants at all raises MutantError.
     """
-    ast.parse(source)  # surface syntax errors before mutation
-
-    recipes = {
-        "const-return-zero": [_ReturnRewrite(_const_builder(0))],
-        "const-return-none": [_ReturnRewrite(_const_builder(None))],
-        "negate-comparisons": [_ComparisonFlip(_NEGATE_TABLE)],
-        "mirror-comparisons": [_ComparisonFlip(_MIRROR_TABLE)],
-        "return-plus-one": [
-            _ReturnRewrite(_offset_builder(1)),
-            _ReturnRewrite(_offset_builder(2)),
-        ],
-        "return-minus-one": [
-            _ReturnRewrite(_offset_builder(-1)),
-            _ReturnRewrite(_offset_builder(-2)),
-        ],
-    }
-
+    original = ast.unparse(ast.parse(source))  # syntax errors surface here
     built: List[Tuple[str, str]] = []
-    for name in names:
-        if name not in recipes:
-            raise MutantError(f"unknown mutant recipe {name}")
-        for transformer in recipes[name]:
-            mutated = _apply_body_transform(source, function_name, transformer)
-            if mutated is not None and mutated != ast.unparse(ast.parse(source)):
+    for name, mutators in _RECIPES.items():
+        for mutator in mutators:
+            mutated = _mutate(source, function_name, mutator)
+            if mutated != original:
                 built.append((name, mutated))
                 break
     if not built:
@@ -577,7 +515,6 @@ def vacuity_check(
     *,
     seed: int = 0,
     random_trials: int = DEFAULT_RANDOM_TRIALS,
-    mutant_names: Sequence[str] = MUTANT_NAMES,
     timeout: float = 30.0,
 ) -> VacuityReport:
     """Judge whether a specification's contracts actually constrain behavior.
@@ -593,7 +530,7 @@ def vacuity_check(
             verdict="InconsistentSpec", mutants_total=0, mutants_rejected=0
         )
 
-    mutants = build_mutants(artifact_body, problem.function_name, mutant_names)
+    mutants = build_mutants(artifact_body, problem.function_name)
     probes = [test.parsed_inputs() for test in problem.tests]
     probes += _probes(problem, random_trials, seed)
     details: List[Dict[str, object]] = []

@@ -15,6 +15,7 @@ says what one call returned (clipped `repr` and `fingerprint`) or raised
 import hashlib
 import json
 import os
+import resource
 import select
 import signal
 import sys
@@ -25,6 +26,9 @@ SENTINEL = "##REC## "
 OUTPUT_CAP = 1 << 20
 # longest text a record carries, so that honest records stay far below the cap
 TEXT_CAP = 1000
+# address space of a candidate, so that runaway memory fails in the candidate;
+# a lower hard limit inherited from the host stays
+MEMORY_CAP = 1 << 30
 WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_TRUNC
 # audit events that change the file system, and how many leading arguments
 # are paths; os.replace raises os.rename
@@ -271,6 +275,9 @@ def grandchild(request, record_fd):
     code = 1  # an uncaught exception exits 1, as in a fresh interpreter
     try:
         os.setsid()
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = MEMORY_CAP if hard == resource.RLIM_INFINITY else min(MEMORY_CAP, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
         null = os.open(os.devnull, os.O_RDWR)
         os.dup2(null, 0)
         os.dup2(record_fd, 1)

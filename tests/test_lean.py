@@ -75,11 +75,19 @@ class TestCountSorries:
         ('def s := s!"{f {x := 1} "}"} \\{sorry}" ++ sorry', 1),
         ('def m := IO.println "Hi!"\ntheorem t : True := sorry', 1),
         ('-- wow!"\ntheorem t : True := sorry', 1),
+        ('def x : Nat := dbg_trace "{sorry}"; 0', 1),
+        ('def m : MetaM Unit := throwError "bad {sorry}"', 1),
+        ('def m : IO Unit := println! "{sorry}"', 1),
+        ('def m : MetaM Unit := trace[Meta.debug] "{sorry}"', 1),
+        ('def m : MetaM Unit := throwError "sorry"', 0),
+        ('def mythrowError := "{sorry}"', 0),
     ], ids=["nested-block", "doc-comment", "dashes-in-string", "quote-char",
             "primed-identifier", "unterminated-block", "raw-string",
             "raw-string-backslash", "interpolated", "interpolated-message",
             "interpolated-text", "plain-braces", "interpolated-nesting",
-            "string-ends-in-bang", "comment-ends-in-bang"])
+            "string-ends-in-bang", "comment-ends-in-bang", "dbg-trace",
+            "throw-error", "println", "trace-class", "throw-error-text",
+            "keyword-in-identifier"])
     def test_comments_and_literals_do_not_count(self, source, expected):
         assert count_sorries(source) == expected
 
@@ -103,26 +111,26 @@ class TestClassify:
 
     def test_rule_table(self):
         for message, expected in self.CASES:
-            got = classify([diag(message)], "def f : Int := 1")
+            got = classify([diag(message)], 0)
             assert got == frozenset({expected}), f"{message!r} -> {got}"
 
     def test_first_rule_wins_within_one_message(self):
         msg = "unexpected token; later the type mismatch appears"
-        assert classify([diag(msg)], "x") == frozenset({ErrorClass.SYNTAX})
+        assert classify([diag(msg)], 0) == frozenset({ErrorClass.SYNTAX})
 
     def test_source_sorry_added_regardless_of_diagnostics(self):
-        got = classify([], "def f : Int := by sorry")
+        got = classify([], count_sorries("def f : Int := by sorry"))
         assert got == frozenset({ErrorClass.SORRY_PRESENT})
-        got = classify([diag("type mismatch")], "def f := by sorry")
+        got = classify([diag("type mismatch")], 1)
         assert got == frozenset({ErrorClass.TYPE, ErrorClass.SORRY_PRESENT})
 
     def test_multi_diagnostic_union(self):
         diags = [diag("unexpected token 'def'"), diag("unknown identifier 'x'")]
-        got = classify(diags, "clean")
+        got = classify(diags, 0)
         assert got == frozenset({ErrorClass.SYNTAX, ErrorClass.UNKNOWN_IDENTIFIER})
 
     def test_empty_clean(self):
-        assert classify([], "def f : Int := 1") == frozenset()
+        assert classify([], 0) == frozenset()
 
 
 class TestBuildSource:

@@ -159,6 +159,30 @@ class TestRunConfig:
         assert RunConfig.from_obj(cfg.to_obj()) == cfg
 
 
+class TestProblemSelection:
+    def selected(self, tmp_path, **over):
+        """The ids of the problems a run of the config ran, as its manifest
+        lists them; chains are sorted by problem id."""
+        config = make_config(tmp_path, max_retries=0, **over)
+        result = Orchestrator(config, gateway=LadderGateway([PROSE]),
+                              verifier=LeanVerifier(transcripts={})).run()
+        ran = result.manifest["problem_ids"]
+        assert [c["problem"] for c in result.chains] == sorted(ran)
+        return ran
+
+    def test_listed_problems_run_in_corpus_order(self, tmp_path):
+        picked = self.selected(tmp_path, problems=["sqrt-floor", "climbing-stairs"])
+        assert picked == ["climbing-stairs", "sqrt-floor"]
+
+    def test_unknown_problem_is_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="no-such-problem"):
+            self.selected(tmp_path, problems=["sqrt-floor", "no-such-problem"])
+
+    def test_no_problems_key_selects_all(self, tmp_path, corpus):
+        assert self.selected(tmp_path) == [p.id for p in corpus]
+        assert len(corpus) == 12
+
+
 class TestRetryLoop:
     def test_recovery_on_third_round(self, tmp_path):
         result, gw = run_spec_chain(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -387,6 +388,19 @@ class TestSandboxServer:
         assert time.monotonic() - start < 3.0
         assert outcome.fault == "Crash"
 
+    def test_address_space_is_capped(self):
+        # reserving 2 GiB maps no page, so it succeeds unless a cap forbids it
+        src = (
+            "import mmap\n"
+            "def addInts(a, b):\n"
+            "    mmap.mmap(-1, 2 << 30)\n"
+            "    return a + b\n"
+        )
+        outcome = pyexec.run_tests(src, ADD, timeout=10.0)
+        assert outcome.fault == "RuntimeError"
+        assert [f["reason"] for f in outcome.failures] == ["exception"] * 3
+        assert all(f["error"].startswith("OSError") for f in outcome.failures)
+
     def test_forged_server_reply_changes_nothing(self, monkeypatch):
         reply = {"records": PASSING_ADD, "returncode": 0, "timed_out": False}
         forged = b'{"pid": 1}\n' + json.dumps(reply).encode() + b"\n"
@@ -565,6 +579,14 @@ os.pidfd_open = pidfd_open
 exec(sys.argv[-1], {"__name__": "__main__"})
 """
 
+# Starts the real server under a hard address-space limit below MEMORY_CAP.
+LOW_LIMIT_SERVER = """
+import resource, sys
+
+resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))
+exec(sys.argv[-1], {"__name__": "__main__"})
+"""
+
 # Starts like the real server, then answers the first request with the
 # malformed reply named by its first argument.
 MALFORMED_SERVER = """
@@ -597,6 +619,19 @@ class TestServerProtocol:
         server_command(f"{sys.executable} {script}")
         with pytest.raises(SandboxError, match="pidfd_open: PermissionError"):
             pyexec.run_tests(GOOD_ADD, ADD)
+
+    def test_lower_host_memory_limit_is_kept(self, tmp_path, server_command):
+        script = tmp_path / "server.py"
+        script.write_text(LOW_LIMIT_SERVER, encoding="utf-8")
+        server_command(f"{sys.executable} {script}")
+        assert pyexec.run_tests(GOOD_ADD, ADD).all_passed
+        src = (
+            "import mmap\n"
+            "def addInts(a, b):\n"
+            "    mmap.mmap(-1, 900 << 20)\n"
+            "    return a + b\n"
+        )
+        assert pyexec.run_tests(src, ADD).fault == "RuntimeError"
 
     def test_server_that_exits_at_once_fails_loudly(self, server_command):
         server_command(f"{sys.executable} -c pass")
@@ -719,6 +754,21 @@ class TestCheckContracts:
         pyexec.check_contracts("def f(xs, s, n):\n    return n\n", problem,
                                trials=3, seed=2)
         assert sent[0]["inputs"][0] == [[-807933, -822011, -242808], "xzvjitgtbs", 428676]
+        nested = make_problem(
+            "g", [("grid", "List (List Int)"), ("n", "Nat")], "Int", []
+        )
+        pyexec.check_contracts("def g(grid, n):\n    return n\n", nested,
+                               trials=3, seed=1)
+        assert sent[1]["inputs"][0] == [[[-465082, -752707, 39002, 595853]], 471325]
+
+    def test_parenthesized_type_draws_the_same_probes(self, monkeypatch):
+        sent = relayed(monkeypatch, [])
+        for spelling in ("List Int", "List(Int)"):
+            problem = make_problem("f", [("xs", spelling)], "Int", [])
+            pyexec.check_contracts("def f(xs):\n    return 0\n", problem,
+                                   trials=20, seed=4)
+        assert sent[0]["inputs"] == sent[1]["inputs"]
+        assert max(len(xs) for xs, in sent[1]["inputs"]) > 6
 
     def test_same_seed_reproduces(self):
         a = pyexec.check_contracts(CONTRACT_SRC, ADD, trials=30, seed=11)
@@ -731,6 +781,13 @@ class TestCheckContracts:
         assert set(obj) == {
             "type", "trials", "precondition_rejections",
             "postcondition_violations", "invariant_violations", "faults",
+        }
+
+    def test_report_is_pinned(self):
+        obj = pyexec.check_contracts(CONTRACT_SRC, ADD, trials=10, seed=1).to_obj()
+        assert obj == {
+            "type": "contracts", "trials": 10, "precondition_rejections": 5,
+            "postcondition_violations": 0, "invariant_violations": 0, "faults": 0,
         }
 
 
@@ -754,6 +811,13 @@ class TestBuildMutants:
     def test_full_recipe_set(self):
         mutants = pyexec.build_mutants(CLAMP_SRC, "clampNonNeg")
         assert [name for name, _ in mutants] == list(pyexec.MUTANT_NAMES)
+
+    def test_mutant_sources_are_pinned(self):
+        mutants = pyexec.build_mutants(CLAMP_SRC, "clampNonNeg")
+        joined = "\n".join(source for _, source in mutants)
+        assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == (
+            "fba27a727f90c59b76b20aaa3dae614e83242d9ae319489be82ddb08bf336312"
+        )
 
     def test_comparison_free_function_drops_flip_recipes(self):
         mutants = pyexec.build_mutants(GOOD_ADD, "addInts")
@@ -782,10 +846,6 @@ class TestBuildMutants:
     def test_zero_constructible_raises(self):
         with pytest.raises(MutantError):
             pyexec.build_mutants("def f(x):\n    pass\n", "f")
-
-    def test_unknown_recipe_rejected(self):
-        with pytest.raises(MutantError):
-            pyexec.build_mutants(GOOD_ADD, "addInts", names=["swap-operands"])
 
     def test_mutants_leave_other_functions_alone(self):
         src = (
@@ -838,6 +898,25 @@ class TestVacuity:
         assert obj["type"] == "vacuity"
         assert obj["verdict"] == "NonVacuous"
         assert len(obj["mutants"]) == obj["mutants_total"]
+
+    def test_report_is_pinned(self):
+        obj = pyexec.vacuity_check(CLAMP_SRC, CLAMP_PROBLEM, seed=3,
+                                   random_trials=10).to_obj()
+        flip = {"rejected": True, "rejections": 12, "pre_rejections": 0, "crashes": 0}
+        const = dict(flip, rejections=13)
+        offset = {"rejected": False, "rejections": 0, "pre_rejections": 0, "crashes": 13}
+        assert obj == {
+            "type": "vacuity", "verdict": "NonVacuous",
+            "mutants_total": 6, "mutants_rejected": 4,
+            "mutants": [
+                {"name": "const-return-zero", **const},
+                {"name": "const-return-none", **const},
+                {"name": "negate-comparisons", **flip},
+                {"name": "mirror-comparisons", **flip},
+                {"name": "return-plus-one", **offset},
+                {"name": "return-minus-one", **offset},
+            ],
+        }
 
 
 class TestDealShim:
