@@ -20,8 +20,17 @@ from .errors import (
     CorpusError,
     ReplayMissError,
 )
-from .pipeline import Orchestrator, RunConfig, RunResult, run_sweep, write_report
+from .pipeline import RunConfig, RunResult, execute, write_report
 from .prompts import list_strategies
+
+# an error exits with the code of the first class it is an instance of
+_EXIT_CODES = (
+    (ConfigError, 2),
+    (CorpusError, 3),
+    (BackendMissingError, 4),
+    (ReplayMissError, 5),
+    (BridgeError, 1),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,10 +42,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="check a problem manifest")
     p_validate.add_argument("manifest", help="path to a JSONL problem manifest")
+    p_validate.set_defaults(handler=_cmd_validate)
 
-    sub.add_parser("strategies", help="list strategy keys")
+    p_strategies = sub.add_parser("strategies", help="list strategy keys")
+    p_strategies.set_defaults(handler=_cmd_strategies)
 
-    def add_run_args(p):
+    for name, gateway_mode, help_text in (
+        ("run", None, "execute a configured run, one per temperature_grid entry"),
+        ("record", "record", "run live and archive completions"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument(
             "--override",
@@ -46,46 +61,19 @@ def _build_parser() -> argparse.ArgumentParser:
             help="dotted config override, repeatable",
         )
         p.add_argument("--runs-root", default=None, help="output directory override")
-
-    p_run = sub.add_parser("run", help="execute a configured run")
-    add_run_args(p_run)
-    p_run.add_argument(
-        "--sweep",
-        action="store_true",
-        help="run once per temperature_grid entry",
-    )
-
-    p_record = sub.add_parser("record", help="run live and archive completions")
-    add_run_args(p_record)
+        p.set_defaults(handler=_cmd_run, gateway_mode=gateway_mode)
 
     p_replay = sub.add_parser("replay", help="re-execute a run from its archive")
     p_replay.add_argument("--run", required=True, help="run id under the runs root")
     p_replay.add_argument("--runs-root", default="runs")
+    p_replay.set_defaults(handler=_cmd_replay)
 
     p_report = sub.add_parser("report", help="write metrics for a finished run")
     p_report.add_argument("--run", required=True, help="run id under the runs root")
     p_report.add_argument("--runs-root", default="runs")
+    p_report.set_defaults(handler=_cmd_report)
 
     return parser
-
-
-def _parse_overrides(pairs: List[str]) -> dict:
-    overrides = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override must look like key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        overrides[key.strip()] = value
-    return overrides
-
-
-def _load_config(args, forced_mode: Optional[str] = None) -> RunConfig:
-    overrides = _parse_overrides(args.override)
-    if args.runs_root:
-        overrides["runs_root"] = args.runs_root
-    if forced_mode:
-        overrides["gateway.mode"] = forced_mode
-    return RunConfig.from_file(args.config, overrides)
 
 
 def _cmd_validate(args) -> int:
@@ -113,17 +101,26 @@ def _warn_unverified(result: RunResult) -> None:
         )
 
 
-def _cmd_run(args, forced_mode: Optional[str] = None) -> int:
-    config = _load_config(args, forced_mode)
-    if getattr(args, "sweep", False):
-        for temperature, result in run_sweep(config):
-            print(f"{result.run_id} temperature={temperature} dir={result.run_dir}")
-            _warn_unverified(result)
-        return 0
-    result = Orchestrator(config).run()
-    print(f"{result.run_id} chains={len(result.chains)} dir={result.run_dir}")
-    _warn_unverified(result)
+def _run_and_print(config: RunConfig) -> int:
+    for result in execute(config):
+        print(f"{result.run_id} chains={len(result.chains)} dir={result.run_dir}")
+        _warn_unverified(result)
     return 0
+
+
+def _cmd_run(args) -> int:
+    overrides = {}
+    for pair in args.override:
+        if "=" not in pair:
+            raise ConfigError(f"override must look like key=value, got {pair!r}")
+        key, value = pair.split("=", 1)
+        overrides[key.strip()] = value
+    if args.runs_root:
+        # quoted, so a path such as `true` or `1` stays the string it is
+        overrides["runs_root"] = json.dumps(args.runs_root)
+    if args.gateway_mode:
+        overrides["gateway.mode"] = args.gateway_mode
+    return _run_and_print(RunConfig.from_file(args.config, overrides))
 
 
 def _run_dir(args) -> Path:
@@ -134,21 +131,12 @@ def _run_dir(args) -> Path:
 
 
 def _cmd_replay(args) -> int:
-    run_dir = _run_dir(args)
-    manifest_path = run_dir / "manifest.json"
+    manifest_path = _run_dir(args) / "manifest.json"
     if not manifest_path.exists():
-        raise ConfigError(f"{run_dir} has no manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    obj = dict(manifest["config"])
-    obj["gateway"] = dict(obj.get("gateway", {}))
-    obj["gateway"]["mode"] = "replay"
-    obj["runs_root"] = args.runs_root
-    config = RunConfig.from_obj(obj)
-    result = Orchestrator(config).run()
-    print(f"{result.run_id} chains={len(result.chains)} dir={result.run_dir}")
-    _warn_unverified(result)
-    return 0
+        raise ConfigError(f"{manifest_path.parent} has no manifest.json")
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    overrides = {"gateway.mode": "replay", "runs_root": json.dumps(args.runs_root)}
+    return _run_and_print(RunConfig.from_obj(manifest["config"], overrides))
 
 
 def _cmd_report(args) -> int:
@@ -158,38 +146,12 @@ def _cmd_report(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "strategies":
-            return _cmd_strategies(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "record":
-            return _cmd_run(args, forced_mode="record")
-        if args.command == "replay":
-            return _cmd_replay(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        parser.error(f"unknown command {args.command}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BackendMissingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ReplayMissError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return args.handler(args)
     except BridgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from . import literals
 from .errors import CorpusError
@@ -58,23 +58,6 @@ class Problem:
 
     def param_names(self) -> List[str]:
         return [name for name, _ in self.params]
-
-
-@dataclass(frozen=True)
-class ProblemSet:
-    problems: Tuple[Problem, ...]
-
-    def __len__(self) -> int:
-        return len(self.problems)
-
-    def __iter__(self) -> Iterator[Problem]:
-        return iter(self.problems)
-
-    def by_id(self, problem_id: str) -> Problem:
-        for problem in self.problems:
-            if problem.id == problem_id:
-                return problem
-        raise CorpusError(f"no problem with id {problem_id!r}")
 
 
 def validate_problem(problem: Problem) -> List[str]:
@@ -203,7 +186,7 @@ def _problem_from_obj(obj: dict, where: str) -> Problem:
     )
 
 
-def load_manifest(path: Union[str, Path]) -> ProblemSet:
+def load_manifest(path: Union[str, Path]) -> Tuple[Problem, ...]:
     """Load and validate a JSONL manifest.
 
     Any malformed line, validation violation, or duplicate id raises
@@ -233,4 +216,4 @@ def load_manifest(path: Union[str, Path]) -> ProblemSet:
             raise CorpusError(f"{where}: duplicate problem id {problem.id!r}")
         seen.add(problem.id)
         problems.append(problem)
-    return ProblemSet(problems=tuple(problems))
+    return tuple(problems)

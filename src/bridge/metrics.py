@@ -16,15 +16,10 @@ from math import comb
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-ERROR_CLASSES = (
-    "Syntax",
-    "Type",
-    "Termination",
-    "UnknownIdentifier",
-    "SorryPresent",
-    "Timeout",
-    "Other",
-)
+from .lean import ErrorClass
+
+# one rows.csv column per class the Lean classifier can report, in its order
+ERROR_CLASSES = tuple(cls.value for cls in ErrorClass)
 
 DEFAULT_K_LADDER = (1, 5, 16, 64, 128)
 

@@ -27,17 +27,17 @@ machine identifiers, canonical ordering throughout.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__, metrics, proofs, pyexec
-from .corpus import Problem, ProblemSet, load_manifest
+from .corpus import Problem, load_manifest
 from .errors import ConfigError, NoArtifactError
 from .gateway import CompletionRecord, DecodingParams, ModelGateway, count_tokens
 from .lean import LeanVerifier, VerificationOutcome, VerifyStatus
@@ -54,11 +54,23 @@ def _merged(defaults: Mapping, given: Optional[Mapping], section: str) -> Dict:
     out = dict(defaults)
     if given is None:
         return out
+    if not isinstance(given, Mapping):
+        raise ConfigError(f"{section} must be an object, got {given!r}")
     for key, value in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown key {section}.{key}")
         out[key] = value
     return out
+
+
+def _section(**defaults) -> dataclasses.Field:
+    """A config object whose keys, and their defaults, are the ones given."""
+    return dataclasses.field(default_factory=lambda: dict(defaults))
+
+
+# a field's annotation text ("int", "str", "Tuple[...]") names how its JSON
+# value is converted; every "Mapping" field is a section
+_CONVERT = {"int": int, "str": str, "Tuple": tuple}
 
 
 @dataclass(frozen=True)
@@ -67,37 +79,38 @@ class RunConfig:
     models: Tuple[str, ...]
     strategies: Tuple[str, ...]
     problems: Tuple[str, ...] = ()
-    decoding: Mapping = dataclasses.field(default_factory=dict)
+    decoding: Mapping = _section(temperature=0.7, max_tokens=4096, n_samples=1, seed=None)
     mode: str = "ParallelPlusRetry"
     max_retries: int = 3
     temperature_grid: Tuple[float, ...] = ()
     parallelism: int = 4
     seed: int = 0
-    gateway: Mapping = dataclasses.field(default_factory=dict)
-    lean: Mapping = dataclasses.field(default_factory=dict)
-    python: Mapping = dataclasses.field(default_factory=dict)
-    success: Mapping = dataclasses.field(default_factory=dict)
-    spec_checks: Mapping = dataclasses.field(default_factory=dict)
+    gateway: Mapping = _section(mode="mock", script=None, archive_dir=None, providers={})
+    lean: Mapping = _section(command=None, mathlib=False, timeout=120.0, transcripts=None)
+    python: Mapping = _section(timeout=5.0)
+    success: Mapping = _section(lean="compile+guards")
+    spec_checks: Mapping = _section(
+        contracts=False,
+        vacuity=False,
+        cross_feedback=False,
+        trials=pyexec.DEFAULT_TRIALS,
+        random_trials=pyexec.DEFAULT_RANDOM_TRIALS,
+    )
     intersection_threshold: int = 3
     runs_root: str = "runs"
     k_ladder: Tuple[int, ...] = metrics.DEFAULT_K_LADDER
 
-    _DECODING = {"temperature": 0.7, "max_tokens": 4096, "n_samples": 1, "seed": None}
-    _GATEWAY = {"mode": "mock", "script": None, "archive_dir": None, "providers": {}}
-    _LEAN = {"command": None, "mathlib": False, "timeout": 120.0, "transcripts": None}
-    _PYTHON = {"timeout": 5.0}
-    _SUCCESS = {"lean": "compile+guards"}
-    _SPEC_CHECKS = {
-        "contracts": False,
-        "vacuity": False,
-        "cross_feedback": False,
-        "trials": pyexec.DEFAULT_TRIALS,
-        "random_trials": pyexec.DEFAULT_RANDOM_TRIALS,
-    }
-
     @classmethod
-    def from_obj(cls, obj: Mapping) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
+    def from_obj(
+        cls, obj: Mapping, overrides: Optional[Mapping[str, str]] = None
+    ) -> "RunConfig":
+        """Resolve a config object; dotted `overrides` apply to a copy of it."""
+        if overrides:
+            obj = copy.deepcopy(dict(obj))
+            for dotted, raw in overrides.items():
+                _apply_override(obj, dotted, raw)
+        fields = dataclasses.fields(cls)
+        known = {f.name for f in fields}
         for key in obj:
             if key not in known:
                 raise ConfigError(f"unknown config key {key}")
@@ -105,37 +118,29 @@ class RunConfig:
             if key not in obj:
                 raise ConfigError(f"config is missing required key {key}")
 
-        strategies = tuple(obj["strategies"])
-        for raw in strategies:
+        given = {}
+        for field in fields:
+            if field.name not in obj:
+                continue
+            value = obj[field.name]
+            if field.type == "Mapping":
+                given[field.name] = _merged(field.default_factory(), value, field.name)
+                continue
+            try:
+                given[field.name] = _CONVERT[field.type.partition("[")[0]](value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for {field.name}: {value!r}") from exc
+        config = cls(**given)
+
+        for raw in config.strategies:
             try:
                 StrategyId.parse(raw)
             except Exception as exc:
                 raise ConfigError(f"bad strategy key {raw!r}: {exc}") from exc
-
-        mode = obj.get("mode", "ParallelPlusRetry")
-        if mode not in RUN_MODES:
-            raise ConfigError(f"unknown run mode {mode}; expected one of {RUN_MODES}")
-
-        config = cls(
-            corpus=str(obj["corpus"]),
-            models=tuple(obj["models"]),
-            strategies=strategies,
-            problems=tuple(obj.get("problems", ())),
-            decoding=_merged(cls._DECODING, obj.get("decoding"), "decoding"),
-            mode=mode,
-            max_retries=int(obj.get("max_retries", 3)),
-            temperature_grid=tuple(obj.get("temperature_grid", ())),
-            parallelism=int(obj.get("parallelism", 4)),
-            seed=int(obj.get("seed", 0)),
-            gateway=_merged(cls._GATEWAY, obj.get("gateway"), "gateway"),
-            lean=_merged(cls._LEAN, obj.get("lean"), "lean"),
-            python=_merged(cls._PYTHON, obj.get("python"), "python"),
-            success=_merged(cls._SUCCESS, obj.get("success"), "success"),
-            spec_checks=_merged(cls._SPEC_CHECKS, obj.get("spec_checks"), "spec_checks"),
-            intersection_threshold=int(obj.get("intersection_threshold", 3)),
-            runs_root=str(obj.get("runs_root", "runs")),
-            k_ladder=tuple(obj.get("k_ladder", metrics.DEFAULT_K_LADDER)),
-        )
+        if config.mode not in RUN_MODES:
+            raise ConfigError(
+                f"unknown run mode {config.mode}; expected one of {RUN_MODES}"
+            )
         if config.max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
         if config.parallelism < 1:
@@ -164,10 +169,7 @@ class RunConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        if overrides:
-            for dotted, raw in overrides.items():
-                _apply_override(obj, dotted, raw)
-        return cls.from_obj(obj)
+        return cls.from_obj(obj, overrides)
 
     def to_obj(self) -> Dict:
         out = dataclasses.asdict(self)
@@ -175,6 +177,29 @@ class RunConfig:
             if isinstance(value, tuple):
                 out[key] = list(value)
         return out
+
+    @property
+    def decoding_seed(self) -> int:
+        """The sampling seed: decoding.seed, or the run's seed when that is null."""
+        seed = self.decoding["seed"]
+        return self.seed if seed is None else seed
+
+    def points(self) -> List[Tuple[str, "RunConfig"]]:
+        """(run-id suffix, config) of each run this config asks for.
+
+        An empty temperature_grid asks for one run of the config itself.
+        Otherwise grid entry i gets its own run, suffixed -t<i>, at that
+        temperature with seed decoding_seed ^ i and an empty grid.
+        """
+        if not self.temperature_grid:
+            return [("", self)]
+        points = []
+        for index, temperature in enumerate(self.temperature_grid):
+            seed = self.decoding_seed ^ index
+            decoding = {**self.decoding, "temperature": temperature, "seed": seed}
+            point = dataclasses.replace(self, decoding=decoding, temperature_grid=())
+            points.append((f"-t{index}", point))
+        return points
 
 
 def _apply_override(obj: Dict, dotted: str, raw: str) -> None:
@@ -324,8 +349,10 @@ class Orchestrator:
         *,
         gateway: Optional[ModelGateway] = None,
         verifier: Optional[LeanVerifier] = None,
-        problems: Optional[ProblemSet] = None,
+        problems: Optional[Sequence[Problem]] = None,
     ) -> None:
+        if config.temperature_grid:
+            raise ConfigError("a config with a temperature_grid runs through execute()")
         self.config = config
         self.catalog = TemplateCatalog()
         self.gateway = gateway if gateway is not None else build_gateway(config)
@@ -365,14 +392,11 @@ class Orchestrator:
 
     def _decoding_params(self, n_samples: int) -> DecodingParams:
         dec = self.config.decoding
-        seed = dec["seed"]
-        if seed is None:
-            seed = self.config.seed
         return DecodingParams(
             temperature=float(dec["temperature"]),
             max_tokens=int(dec["max_tokens"]),
             n_samples=n_samples,
-            seed=seed,
+            seed=self.config.decoding_seed,
         )
 
     def _run_cell(self, problem: Problem, strategy: StrategyId, model: str) -> List[Dict]:
@@ -544,28 +568,19 @@ class Orchestrator:
     ) -> str:
         artifact = round_obj.get("artifact")
         previous = artifact["body"] if artifact else round_obj["completion"]["text"]
+        lean_feedback = None
         if (
             strategy.domain == "spec"
             and self.config.spec_checks["cross_feedback"]
             and artifact is not None
         ):
-            lean_feedback = self._lean_feedback(
-                problem, model, round_obj, annotations
-            )
-            if lean_feedback is not None:
-                return self.catalog.render_feedback(
-                    "lean-refinement",
-                    {
-                        "retry_attempt": str(round_no),
-                        "max_retries": str(self.config.max_retries),
-                        "previous_code": previous,
-                        "error_feedback": "\n".join(f"- {e}" for e in errors)
-                        or "(no diagnostics captured)",
-                        "lean_feedback": lean_feedback,
-                    },
-                )
+            lean_feedback = self._lean_feedback(problem, model, round_obj, annotations)
         return self.catalog.render_retry(
-            previous, errors, round_index=round_no, max_rounds=self.config.max_retries
+            previous,
+            errors,
+            round_index=round_no,
+            max_rounds=self.config.max_retries,
+            lean_feedback=lean_feedback,
         )
 
     def _lean_feedback(
@@ -597,7 +612,8 @@ class Orchestrator:
 
     # --- run assembly --------------------------------------------------
 
-    def run(self) -> RunResult:
+    def run(self, suffix: str = "") -> RunResult:
+        """Run every cell and write the run directory; `suffix` ends its id."""
         config = self.config
         cell_list = self.cells()
         try:
@@ -613,7 +629,7 @@ class Orchestrator:
 
         corpus_digest = _digest_file(config.corpus)
         templates_digest = _digest_templates(self.catalog.root)
-        run_id = compute_run_id(config, corpus_digest, templates_digest)
+        run_id = compute_run_id(config, corpus_digest, templates_digest) + suffix
         run_dir = _claim_run_dir(Path(config.runs_root), run_id)
 
         manifest = {
@@ -676,50 +692,18 @@ class Orchestrator:
                 fh.write("\n")
 
 
-def run_sweep(
+def execute(
     config: RunConfig,
     *,
     gateway: Optional[ModelGateway] = None,
     verifier: Optional[LeanVerifier] = None,
-    problems: Optional[ProblemSet] = None,
-) -> List[Tuple[float, RunResult]]:
-    """One run per temperature grid point, each with a derived seed."""
-    if not config.temperature_grid:
-        raise ConfigError("temperature sweep requested but temperature_grid is empty")
-    results = []
-    for index, temperature in enumerate(config.temperature_grid):
-        decoding = dict(config.decoding)
-        decoding["temperature"] = temperature
-        base_seed = decoding.get("seed")
-        if base_seed is None:
-            base_seed = config.seed
-        decoding["seed"] = base_seed ^ index
-        point = dataclasses.replace(config, decoding=decoding, temperature_grid=())
-        orchestrator = Orchestrator(
-            point, gateway=gateway, verifier=verifier, problems=problems
-        )
-        result = orchestrator.run()
-        renamed = _rename_run(result, f"{result.run_id}-t{index}")
-        results.append((temperature, renamed))
-    return results
+) -> Iterator[RunResult]:
+    """Run each point of the config (see RunConfig.points) in grid order."""
+    for suffix, point in config.points():
+        yield Orchestrator(point, gateway=gateway, verifier=verifier).run(suffix)
 
 
-def _rename_run(result: RunResult, new_id: str) -> RunResult:
-    target = result.run_dir.parent / new_id
-    suffix = 2
-    while target.exists():
-        target = result.run_dir.parent / f"{new_id}-{suffix}"
-        suffix += 1
-    os.rename(result.run_dir, target)
-    return RunResult(
-        run_id=new_id,
-        run_dir=target,
-        chains=result.chains,
-        manifest=result.manifest,
-    )
-
-
-def write_report(run_dir: Path, k_ladder: Optional[Sequence[int]] = None) -> Path:
+def write_report(run_dir: Path) -> Path:
     """Build the metrics report for an existing run directory."""
     chains_path = Path(run_dir) / "chains.jsonl"
     manifest_path = Path(run_dir) / "manifest.json"
@@ -734,9 +718,7 @@ def write_report(run_dir: Path, k_ladder: Optional[Sequence[int]] = None) -> Pat
             if line:
                 chains.append(json.loads(line))
     config = manifest["config"]
-    ladder = tuple(k_ladder) if k_ladder else tuple(config.get("k_ladder", ()))
-    if not ladder:
-        ladder = metrics.DEFAULT_K_LADDER
+    ladder = config.get("k_ladder") or metrics.DEFAULT_K_LADDER
     report_dir = Path(run_dir) / "report"
     metrics.emit_report(chains, config, report_dir, k_ladder=ladder)
     return report_dir

@@ -208,8 +208,11 @@ class TemplateCatalog:
         errors: Sequence[str],
         round_index: int,
         max_rounds: int,
+        *,
+        lean_feedback: Optional[str] = None,
     ) -> str:
-        """Render the error-feedback retry prompt.
+        """Render the error-feedback retry prompt; with lean_feedback, the
+        lean-refinement prompt that also shows a Lean translation's verdict.
 
         round_index is 1-based and must not exceed max_rounds. An empty
         error list renders an explicit no-diagnostics marker.
@@ -224,15 +227,16 @@ class TemplateCatalog:
             feedback = "\n".join(f"- {e}" for e in errors)
         else:
             feedback = "(no diagnostics captured)"
-        return self.render_feedback(
-            "retry",
-            {
-                "retry_attempt": str(round_index),
-                "max_retries": str(max_rounds),
-                "previous_code": previous_artifact,
-                "error_feedback": feedback,
-            },
-        )
+        values = {
+            "retry_attempt": str(round_index),
+            "max_retries": str(max_rounds),
+            "previous_code": previous_artifact,
+            "error_feedback": feedback,
+        }
+        if lean_feedback is None:
+            return self.render_feedback("retry", values)
+        values["lean_feedback"] = lean_feedback
+        return self.render_feedback("lean-refinement", values)
 
 
 # --- artifact extraction ----------------------------------------------------

@@ -13,8 +13,6 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .errors import NoArtifactError
-
 THEOREM_CATEGORIES = (
     "Correctness",
     "Bounds",
@@ -234,25 +232,3 @@ def emit_meta_analysis(report: IntersectionReport, implementation: str) -> str:
         "complete_Lean_file": _compose_lean_file(implementation, report.robust),
     }
     return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True)
-
-
-def parse_meta_analysis(text: str) -> Dict[str, object]:
-    """Validate and decode a meta-analysis document."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NoArtifactError(f"meta-analysis is not valid JSON: {exc}") from exc
-    required = ("intersection_analysis", "final_theorem_selection", "complete_Lean_file")
-    for key in required:
-        if key not in obj:
-            raise NoArtifactError(f"meta-analysis missing field {key}")
-    inner = obj["intersection_analysis"]
-    for key in (
-        "common_concepts",
-        "shared_properties",
-        "robust_theorems",
-        "pathway_specific_insights",
-    ):
-        if key not in inner:
-            raise NoArtifactError(f"intersection_analysis missing field {key}")
-    return obj

@@ -21,6 +21,11 @@ def corpus():
 
 
 @pytest.fixture(scope="session")
+def by_id(corpus):
+    return {p.id: p for p in corpus}
+
+
+@pytest.fixture(scope="session")
 def acceptance_log():
     return _acceptance_lines
 

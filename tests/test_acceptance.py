@@ -34,7 +34,6 @@ from bridge.proofs import (
     emit_meta_analysis,
     extract_theorems,
     intersect,
-    parse_meta_analysis,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -373,19 +372,21 @@ def test_08_intersection_and_meta_analysis(acceptance_log):
         assert report.common_concepts == ("Bounds", "Correctness")
         assert intersect(groups, threshold=5).common_concepts == ("Correctness",)
 
-        implementation = "import Std\n\ndef solve (n : Int) : Int := n"
-        document = emit_meta_analysis(report, implementation)
-        obj = parse_meta_analysis(document)
+        def decoded(document):
+            obj = json.loads(document)
+            assert set(obj) >= {"intersection_analysis", "final_theorem_selection",
+                                "complete_Lean_file"}
+            assert set(obj["intersection_analysis"]) >= {
+                "common_concepts", "shared_properties",
+                "robust_theorems", "pathway_specific_insights"}
+            return obj
 
-        assert set(obj) >= {"intersection_analysis", "final_theorem_selection",
-                            "complete_Lean_file"}
-        inner = obj["intersection_analysis"]
-        assert set(inner) >= {"common_concepts", "shared_properties",
-                              "robust_theorems", "pathway_specific_insights"}
-        assert inner["robust_theorems"] == {
+        implementation = "import Std\n\ndef solve (n : Int) : Int := n"
+        obj = decoded(emit_meta_analysis(report, implementation))
+        assert obj["intersection_analysis"]["robust_theorems"] == {
             "Bounds": "solve_upper", "Correctness": "solve_correct"}
 
-        full = parse_meta_analysis(
+        full = decoded(
             emit_meta_analysis(intersect(groups, threshold=1), implementation))
         assert full["final_theorem_selection"] == {
             "solution_correctness": "Essential functional correctness property",

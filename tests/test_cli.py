@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,25 @@ class TestRunCommand:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["chain_count"] == 60
 
+    def test_runs_root_is_taken_verbatim(self, capsys, tmp_path, monkeypatch):
+        # `true` parses as JSON, yet as a runs root it names a directory
+        obj = json.loads(Path(MINI_CONFIG).read_text(encoding="utf-8"))
+        obj["corpus"] = str(Path(obj["corpus"]).resolve())
+        obj["gateway"]["archive_dir"] = str(Path(obj["gateway"]["archive_dir"]).resolve())
+        obj["lean"]["transcripts"] = str(Path(obj["lean"]["transcripts"]).resolve())
+        config = tmp_path / "mini.json"
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "run", "--config", str(config),
+                                 "--runs-root", "true")
+        assert code == 0, err
+        run_id = out.split()[0]
+        assert (tmp_path / "true" / run_id).is_dir()
+        code, out, err = run_cli(capsys, "replay", "--run", run_id,
+                                 "--runs-root", "true")
+        assert code == 0, err
+        assert f"dir=true/{run_id}-2" in out
+
     def test_replay_miss_exit_code(self, capsys, tmp_path):
         empty = tmp_path / "empty-archive"
         empty.mkdir()
@@ -93,6 +113,41 @@ class TestRunCommand:
             "--override", "lean.transcripts=no/such/bank.json")
         assert code == 4
         assert "transcript bank not found" in err
+
+
+class TestTemperatureGrid:
+    def test_grid_point_runs_and_replays_like_a_plain_run(self, capsys, tmp_path):
+        runs_root = tmp_path / "runs"
+        code, out, err = run_cli(
+            capsys, "run", "--config", MINI_CONFIG, "--runs-root", str(runs_root))
+        assert code == 0, err
+        plain = (runs_root / out.split()[0] / "chains.jsonl").read_bytes()
+
+        # the one point keeps temperature 0.7 and gets seed 17 ^ 0, so every
+        # replay digest hits
+        code, out, err = run_cli(
+            capsys, "run", "--config", MINI_CONFIG, "--runs-root", str(runs_root),
+            "--override", "temperature_grid=[0.7]")
+        assert code == 0, err
+        [line] = out.splitlines()
+        point_id = line.split()[0]
+        assert point_id.endswith("-t0") and "chains=60" in line
+        assert line.endswith(f"dir={runs_root / point_id}")
+        assert (runs_root / point_id / "chains.jsonl").read_bytes() == plain
+
+        # a point's config holds an empty grid, so its replay is one run
+        code, out, err = run_cli(
+            capsys, "replay", "--run", point_id, "--runs-root", str(runs_root))
+        assert code == 0, err
+        [line] = out.splitlines()
+        replayed = Path(line.split("dir=")[1])
+        assert replayed != runs_root / point_id
+        assert (replayed / "chains.jsonl").read_bytes() == plain
+
+    def test_sweep_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", MINI_CONFIG, "--sweep"])
+        assert exc.value.code == 2
 
 
 class TestUnverifiedWarning:

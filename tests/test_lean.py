@@ -134,21 +134,21 @@ class TestClassify:
 
 
 class TestBuildSource:
-    def test_guard_lines(self, corpus):
-        problem = corpus.by_id("climbing-stairs")
+    def test_guard_lines(self, by_id):
+        problem = by_id["climbing-stairs"]
         src = build_source("def climbStairs (n : Int) : Int := n", problem)
         assert src.startswith("import Std\n")
         assert "#guard climbStairs 2 == 2 -- test 0" in src
         assert "#guard climbStairs 3 == 3 -- test 1" in src
         assert src.endswith("\n")
 
-    def test_list_arguments_bracketed(self, corpus):
-        problem = corpus.by_id("majority-element")
+    def test_list_arguments_bracketed(self, by_id):
+        problem = by_id["majority-element"]
         src = build_source("def majorityElement (nums : List Int) : Int := 0", problem)
         assert "#guard majorityElement [3, 2, 3] == 3 -- test 0" in src
 
-    def test_import_not_duplicated(self, corpus):
-        problem = corpus.by_id("climbing-stairs")
+    def test_import_not_duplicated(self, by_id):
+        problem = by_id["climbing-stairs"]
         body = "import Std\n\ndef climbStairs (n : Int) : Int := n"
         src = build_source(body, problem)
         assert src.count("import Std") == 1
@@ -157,13 +157,13 @@ class TestBuildSource:
         src = build_source("def f : Int := 1", None, include_tests=False, mathlib=True)
         assert "import Mathlib" in src
 
-    def test_without_tests(self, corpus):
-        problem = corpus.by_id("climbing-stairs")
+    def test_without_tests(self, by_id):
+        problem = by_id["climbing-stairs"]
         src = build_source("def f : Int := 1", problem, include_tests=False)
         assert "#guard" not in src
 
-    def test_unencodable_literal_names_the_test(self, corpus):
-        problem = corpus.by_id("climbing-stairs")
+    def test_unencodable_literal_names_the_test(self, by_id):
+        problem = by_id["climbing-stairs"]
         import dataclasses
 
         bad = problem.tests[0].__class__(inputs=("1.5",), expected="2")

@@ -72,9 +72,9 @@ class TestEncodeLean:
 
 
 class TestCorpus:
-    def test_fixture_loads(self, corpus):
+    def test_fixture_loads(self, corpus, by_id):
         assert len(corpus) == 12
-        assert corpus.by_id("climbing-stairs").function_name == "climbStairs"
+        assert by_id["climbing-stairs"].function_name == "climbStairs"
 
     def test_duplicate_ids_rejected(self, tmp_path):
         corpus_text = Path("fixtures/corpus.jsonl").read_text(encoding="utf-8")

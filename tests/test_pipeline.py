@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -12,8 +13,7 @@ from bridge.corpus import Problem, UnitTest
 from bridge.errors import ConfigError
 from bridge.gateway import CompletionRecord, prompt_digest
 from bridge.lean import LeanVerifier, build_source, source_digest
-from bridge.pipeline import Orchestrator, RunConfig, run_sweep, write_report
-from bridge.proofs import parse_meta_analysis
+from bridge.pipeline import Orchestrator, RunConfig, execute, write_report
 
 ADD = Problem(
     id="add-ints",
@@ -157,6 +157,22 @@ class TestRunConfig:
     def test_round_trip(self, tmp_path):
         cfg = make_config(tmp_path)
         assert RunConfig.from_obj(cfg.to_obj()) == cfg
+
+    def test_unconvertible_value(self):
+        base = {"corpus": "x", "models": ["m"], "strategies": ["code/direct"]}
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig.from_obj({**base, "seed": "abc"})
+        with pytest.raises(ConfigError, match="temperature_grid"):
+            RunConfig.from_obj({**base, "temperature_grid": 0.5})
+        with pytest.raises(ConfigError, match="decoding must be an object"):
+            RunConfig.from_obj({**base, "decoding": 5})
+
+    def test_overrides_leave_the_object_alone(self):
+        obj = {"corpus": "x", "models": ["m"], "strategies": ["code/direct"],
+               "gateway": {"mode": "mock"}}
+        cfg = RunConfig.from_obj(obj, {"gateway.mode": "replay", "seed": "4"})
+        assert (cfg.gateway["mode"], cfg.seed) == ("replay", 4)
+        assert obj["gateway"] == {"mode": "mock"} and "seed" not in obj
 
 
 class TestProblemSelection:
@@ -379,6 +395,9 @@ class TestCrossFeedback:
         retry_prompt = gw.calls[-1]["prompt"]
         assert "## Lean Compiler Feedback" in retry_prompt
         assert "type mismatch" in retry_prompt
+        # every byte of the refinement prompt feeds the mock and replay digests
+        assert hashlib.sha256(retry_prompt.encode("utf-8")).hexdigest() == (
+            "96497b268adc2335124ed458adcd50ba2c7ef1b450caa9a4841b0fe0805bb2c4")
 
     def test_feedback_without_diagnostics_names_the_status(self, tmp_path):
         body = "import Std\n\n" + LEAN_BODY
@@ -537,7 +556,7 @@ class TestMetaEmission:
             assert names == ["addInts_correct", "addInts_terminates"]
         meta_path = result.run_dir / "meta" / "add-ints.json"
         assert meta_path.exists()
-        obj = parse_meta_analysis(meta_path.read_text(encoding="utf-8"))
+        obj = json.loads(meta_path.read_text(encoding="utf-8"))
         inner = obj["intersection_analysis"]
         assert inner["common_concepts"] == ["Correctness", "Termination"]
         assert obj["final_theorem_selection"] == {
@@ -609,28 +628,55 @@ class TestRunAssembly:
 
 
 class TestSweep:
+    def config(self, tmp_path, **over):
+        # no transcripts, so each chain stops at its first Lean check
+        return make_config(tmp_path, strategies=["code/direct"],
+                           problems=["climbing-stairs"], **over)
+
+    def sweep(self, config):
+        return list(execute(config, gateway=LadderGateway([GOOD_LEAN]),
+                            verifier=LeanVerifier(transcripts={})))
+
     def test_sweep_runs_one_per_temperature(self, tmp_path):
-        config = make_config(tmp_path, temperature_grid=[0.3, 0.9], seed=6)
-        gw = LadderGateway([GOOD_PY])
-        results = run_sweep(config, gateway=gw,
-                            verifier=LeanVerifier(transcripts={}),
-                            problems=[ADD])
-        assert [t for t, _ in results] == [0.3, 0.9]
-        assert results[0][1].run_dir.name.endswith("-t0")
-        assert results[1][1].run_dir.name.endswith("-t1")
+        results = self.sweep(self.config(tmp_path, temperature_grid=[0.3, 0.9], seed=6))
+        ids = [r.run_id for r in results]
+        assert sorted(os.listdir(tmp_path / "runs")) == sorted(ids)
+        assert [r.run_dir.name for r in results] == ids
+        assert results[0].run_id.endswith("-t0")
+        assert results[1].run_id.endswith("-t1")
         manifests = [json.loads((r.run_dir / "manifest.json").read_text())
-                     for _, r in results]
+                     for r in results]
         assert manifests[0]["config"]["decoding"]["temperature"] == 0.3
         assert manifests[1]["config"]["decoding"]["temperature"] == 0.9
         # per-point seeds derive from the base seed by index
         assert manifests[0]["config"]["decoding"]["seed"] == 6 ^ 0
         assert manifests[1]["config"]["decoding"]["seed"] == 6 ^ 1
+        # a point's config is a plain run: replaying it runs once
+        assert all(m["config"]["temperature_grid"] == [] for m in manifests)
 
-    def test_empty_grid_rejected(self, tmp_path):
-        config = make_config(tmp_path)
-        with pytest.raises(ConfigError):
-            run_sweep(config, gateway=LadderGateway([GOOD_PY]),
-                      verifier=LeanVerifier(transcripts={}), problems=[ADD])
+    def test_explicit_decoding_seed_is_the_base(self, tmp_path):
+        decoding = {"temperature": 0.7, "max_tokens": 512, "n_samples": 1, "seed": 9}
+        config = self.config(tmp_path, temperature_grid=[0.3, 0.9], seed=6,
+                             decoding=decoding)
+        seeds = [point.decoding_seed for _, point in config.points()]
+        assert seeds == [9 ^ 0, 9 ^ 1]
+
+    def test_empty_grid_runs_once(self, tmp_path):
+        [result] = self.sweep(self.config(tmp_path))
+        assert result.run_dir.name == result.run_id
+        assert not result.run_id.endswith("-t0")
+
+    def test_point_dirs_never_overwritten(self, tmp_path):
+        config = self.config(tmp_path, temperature_grid=[0.3])
+        first, second = self.sweep(config) + self.sweep(config)
+        assert first.run_id == second.run_id
+        assert second.run_dir.name == first.run_id + "-2"
+
+    def test_orchestrator_refuses_a_grid(self, tmp_path):
+        config = self.config(tmp_path, temperature_grid=[0.3, 0.9])
+        with pytest.raises(ConfigError, match="temperature_grid"):
+            Orchestrator(config, gateway=LadderGateway([GOOD_LEAN]),
+                         verifier=LeanVerifier(transcripts={}))
 
 
 class TestWriteReport:
@@ -642,9 +688,13 @@ class TestWriteReport:
         assert "spec/direct" in rows
         assert (result.run_dir / "report" / "curves.jsonl").exists()
 
-    def test_ladder_argument_overrides_config(self, tmp_path):
+    def test_ladder_read_from_manifest(self, tmp_path):
         result, _ = run_spec_chain(tmp_path, [GOOD_PY], k_ladder=[1])
-        write_report(result.run_dir, k_ladder=[1, 2])
+        manifest_path = result.run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["config"]["k_ladder"] = [1, 2]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        write_report(result.run_dir)
         header = (result.run_dir / "report" / "rows.csv").read_text(
             encoding="utf-8").splitlines()[0]
         assert "pass@2" in header

@@ -39,8 +39,8 @@ class TestStrategyTaxonomy:
 
 
 class TestProblemValues:
-    def test_binders_and_signature(self, corpus):
-        values = problem_values(corpus.by_id("count-components"))
+    def test_binders_and_signature(self, by_id):
+        values = problem_values(by_id["count-components"])
         assert values["function_params"] == "(n : Int) (edges : List (List Int))"
         assert values["function_signature"] == (
             "countComponents (n : Int) (edges : List (List Int)) : Int"
@@ -48,8 +48,8 @@ class TestProblemValues:
         assert values["python_signature"] == "countComponents(n, edges)"
         assert values["param_names"] == "n edges"
 
-    def test_unit_test_lines(self, corpus):
-        values = problem_values(corpus.by_id("climbing-stairs"))
+    def test_unit_test_lines(self, by_id):
+        values = problem_values(by_id["climbing-stairs"])
         assert "- climbStairs(2) == 2" in values["unit_tests"]
 
 
@@ -77,9 +77,9 @@ class TestGoldenPrompts:
             for token in FORBIDDEN:
                 assert token not in text, f"{path} still contains {token!r}"
 
-    def test_strategy_descriptor_lines_present(self, corpus):
+    def test_strategy_descriptor_lines_present(self, by_id):
         catalog = TemplateCatalog()
-        problem = corpus.by_id("majority-element")
+        problem = by_id["majority-element"]
         samples = {
             "code/direct": "Direct: Solve directly in Lean4",
             "code/python-bridge": "Python Bridge: Reason in Python logic first, then translate",

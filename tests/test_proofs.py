@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from bridge.errors import NoArtifactError
 from bridge.proofs import (
     THEOREM_CATEGORIES,
     TheoremCandidate,
@@ -10,7 +9,6 @@ from bridge.proofs import (
     emit_meta_analysis,
     extract_theorems,
     intersect,
-    parse_meta_analysis,
 )
 
 SOURCE = """import Std
@@ -195,7 +193,7 @@ class TestMetaAnalysis:
         report = intersect(five_pathways(), threshold=3)
         impl = "import Std\n\ndef solve (n : Int) : Int := n"
         text = emit_meta_analysis(report, impl)
-        obj = parse_meta_analysis(text)
+        obj = json.loads(text)
         inner = obj["intersection_analysis"]
         assert inner["common_concepts"] == ["Bounds", "Correctness"]
         assert inner["robust_theorems"] == {
@@ -206,7 +204,7 @@ class TestMetaAnalysis:
 
     def test_selection_descriptions_verbatim(self):
         report = intersect(five_pathways(), threshold=1)
-        obj = parse_meta_analysis(emit_meta_analysis(report, "def f : Int := 1"))
+        obj = json.loads(emit_meta_analysis(report, "def f : Int := 1"))
         sel = obj["final_theorem_selection"]
         assert sel["solution_correctness"] == "Essential functional correctness property"
         assert sel["solution_bounds"] == "Mathematical bounds and constraint verification"
@@ -214,13 +212,13 @@ class TestMetaAnalysis:
 
     def test_selection_limited_to_common_concepts(self):
         report = intersect(five_pathways(), threshold=5)
-        obj = parse_meta_analysis(emit_meta_analysis(report, "def f : Int := 1"))
+        obj = json.loads(emit_meta_analysis(report, "def f : Int := 1"))
         assert list(obj["final_theorem_selection"]) == ["solution_correctness"]
 
     def test_lean_file_composition(self):
         report = intersect(five_pathways(), threshold=3)
         impl = "import Std\n\ndef solve (n : Int) : Int := n"
-        obj = parse_meta_analysis(emit_meta_analysis(report, impl))
+        obj = json.loads(emit_meta_analysis(report, impl))
         lean_file = obj["complete_Lean_file"]
         assert lean_file.startswith("import Std\nimport Mathlib\n")
         # the implementation's own import line must not duplicate
@@ -230,24 +228,10 @@ class TestMetaAnalysis:
 
     def test_composed_file_extracts_back(self):
         report = intersect(five_pathways(), threshold=3)
-        obj = parse_meta_analysis(
+        obj = json.loads(
             emit_meta_analysis(report, "def solve (n : Int) : Int := n")
         )
         cands = extract_theorems(obj["complete_Lean_file"], "meta")
         names = {c.name for c in cands}
         assert names == {"solve_correct", "solve_upper"}
         assert all(c.has_sorry for c in cands)
-
-    def test_parse_rejects_non_json(self):
-        with pytest.raises(NoArtifactError):
-            parse_meta_analysis("not json at all")
-
-    def test_parse_rejects_missing_fields(self):
-        with pytest.raises(NoArtifactError):
-            parse_meta_analysis(json.dumps({"final_theorem_selection": {}}))
-        with pytest.raises(NoArtifactError):
-            parse_meta_analysis(json.dumps({
-                "intersection_analysis": {"common_concepts": []},
-                "final_theorem_selection": {},
-                "complete_Lean_file": "",
-            }))
