@@ -312,6 +312,11 @@ class LeanVerifier:
             else:
                 self._transcripts = dict(transcripts)
 
+    @property
+    def replays(self) -> bool:
+        """Whether checks are answered from transcripts, never by a compile."""
+        return self._transcripts is not None
+
     def toolchain_available(self) -> bool:
         return shutil.which(self.command[0]) is not None
 
@@ -334,7 +339,7 @@ class LeanVerifier:
         miss or absent toolchain yields ToolMissing rather than an
         exception.
         """
-        if self._transcripts is not None:
+        if self.replays:
             return self._check_transcript(project)
         if self.toolchain_available():
             return self._check_real(project)

@@ -34,7 +34,9 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+)
 
 from . import __version__, metrics, proofs, pyexec
 from .corpus import Problem, load_manifest
@@ -71,6 +73,22 @@ def _section(**defaults) -> dataclasses.Field:
 # a field's annotation text ("int", "str", "Tuple[...]") names how its JSON
 # value is converted; every "Mapping" field is a section
 _CONVERT = {"int": int, "str": str, "Tuple": tuple}
+
+# section keys the run reads as numbers; they are checked, never converted,
+# so an int temperature keeps its bytes in the manifest and the run id
+_NUMBERS = {
+    "decoding": {"temperature": float, "max_tokens": int, "n_samples": int, "seed": int},
+    "python": {"timeout": float},
+    "lean": {"timeout": float},
+    "spec_checks": {"trials": int, "random_trials": int},
+}
+
+
+def _check_number(name: str, value, kind: type) -> None:
+    """Refuse a value that is not a JSON number (an integer when kind is int)."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"bad value for {name}: {value!r}; expected {expected}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +150,13 @@ class RunConfig:
                 raise ConfigError(f"bad value for {field.name}: {value!r}") from exc
         config = cls(**given)
 
+        for section, kinds in _NUMBERS.items():
+            for key, kind in kinds.items():
+                value = getattr(config, section)[key]
+                if not (key == "seed" and value is None):
+                    _check_number(f"{section}.{key}", value, kind)
+        for temperature in config.temperature_grid:
+            _check_number("temperature_grid", temperature, float)
         for raw in config.strategies:
             try:
                 StrategyId.parse(raw)
@@ -295,15 +320,18 @@ class Verdict:
 
     stop means the backend could not judge at all (no Lean toolchain or
     transcript), which ends the chain; errors feed the retry prompt.
+    reusable means the same artifact would get the same verdict again, so
+    the run keeps it.
     """
 
     success: bool
     stop: bool
     errors: Tuple[str, ...]
-    outcome: Optional[Dict]
+    outcome: Union[None, pyexec.TestOutcome, VerificationOutcome]
+    reusable: bool
 
 
-_NO_ARTIFACT = Verdict(False, False, (_NO_ARTIFACT_MESSAGE,), None)
+_NO_ARTIFACT = Verdict(False, False, (_NO_ARTIFACT_MESSAGE,), None, reusable=True)
 
 
 def _pick(domain: str, index: int) -> Callable[[str], ExtractedArtifact]:
@@ -357,8 +385,23 @@ class Orchestrator:
         self.catalog = TemplateCatalog()
         self.gateway = gateway if gateway is not None else build_gateway(config)
         self.verifier = verifier if verifier is not None else build_verifier(config)
-        # (problem id, body) -> outcome; Timeout and Crash may be the host's fault
+        # (domain, problem id, completion text) -> artifact and reusable verdict
+        self._judged: Dict[tuple, Tuple[Optional[ExtractedArtifact], Verdict]] = {}
+        # (problem id, body) -> outcome of a reusable Python check
         self._python_outcomes: Dict[Tuple[str, str], pyexec.TestOutcome] = {}
+        # (body, pathway) -> the theorems of a proof chain's final artifact
+        self._theorem_sets: Dict[tuple, Tuple[proofs.TheoremCandidate, ...]] = {}
+        dec = config.decoding
+        self._single_params = DecodingParams(
+            temperature=float(dec["temperature"]),
+            max_tokens=dec["max_tokens"],
+            n_samples=1,
+            seed=config.decoding_seed,
+        )
+        self._cell_params = dataclasses.replace(
+            self._single_params,
+            n_samples=1 if config.mode == "RetryOnly" else dec["n_samples"],
+        )
         # domain -> (artifact pick, check, after-chain step)
         self._backends = {
             "code": (_pick("code", 0), self._check_lean, None),
@@ -390,22 +433,9 @@ class Orchestrator:
         out.sort(key=lambda cell: (cell[0].id, cell[1].key, cell[2]))
         return out
 
-    def _decoding_params(self, n_samples: int) -> DecodingParams:
-        dec = self.config.decoding
-        return DecodingParams(
-            temperature=float(dec["temperature"]),
-            max_tokens=int(dec["max_tokens"]),
-            n_samples=n_samples,
-            seed=self.config.decoding_seed,
-        )
-
     def _run_cell(self, problem: Problem, strategy: StrategyId, model: str) -> List[Dict]:
-        config = self.config
-        n = int(config.decoding["n_samples"])
-        if config.mode == "RetryOnly":
-            n = 1
         prompt = self.catalog.render(strategy, problem)
-        records = self.gateway.complete_n(model, prompt, self._decoding_params(n))
+        records = self.gateway.complete_n(model, prompt, self._cell_params)
         return [
             self._run_chain(problem, strategy, model, record) for record in records
         ]
@@ -422,7 +452,7 @@ class Orchestrator:
         model: str,
         first_record: CompletionRecord,
     ) -> Dict:
-        pick, check, after = self._backends[strategy.domain]
+        _, _, after = self._backends[strategy.domain]
         max_rounds = self._max_rounds()
         annotations: Dict[str, object] = {}
         rounds: List[Dict] = []
@@ -430,12 +460,7 @@ class Orchestrator:
         final_status = "Failure"
 
         for round_no in range(1, max_rounds + 1):
-            try:
-                artifact = pick(record.text)
-            except NoArtifactError:
-                artifact, verdict = None, _NO_ARTIFACT
-            else:
-                verdict = check(artifact.body, problem)
+            artifact, verdict = self._judge(strategy.domain, problem, record.text)
             words, tokens = count_tokens(record)
             round_obj: Dict[str, object] = {
                 "round": round_no,
@@ -444,7 +469,7 @@ class Orchestrator:
                 "artifact": _artifact_obj(artifact),
                 "words": words,
                 "tokens": tokens,
-                "outcome": verdict.outcome,
+                "outcome": verdict.outcome and verdict.outcome.to_obj(),
             }
             if verdict.stop:
                 annotations["lean_unavailable"] = True
@@ -460,9 +485,7 @@ class Orchestrator:
             retry_prompt = self._retry_prompt(
                 problem, strategy, model, round_obj, verdict.errors, round_no, annotations
             )
-            record = self.gateway.complete_n(
-                model, retry_prompt, self._decoding_params(1)
-            )[0]
+            record = self.gateway.complete_n(model, retry_prompt, self._single_params)[0]
 
         chain = {
             "problem": problem.id,
@@ -479,6 +502,29 @@ class Orchestrator:
 
     # --- backends ------------------------------------------------------
 
+    def _judge(
+        self, domain: str, problem: Problem, text: str
+    ) -> Tuple[Optional[ExtractedArtifact], Verdict]:
+        """The artifact picked from a completion text and its verdict.
+
+        The pair is kept for the rest of the run when the verdict is
+        reusable, so a repeated text (another sample, model or strategy of
+        the domain, or a retry that repeats an answer) is judged once.
+        """
+        key = (domain, problem.id, text)
+        judged = self._judged.get(key)
+        if judged is None:
+            pick, check, _ = self._backends[domain]
+            try:
+                artifact = pick(text)
+            except NoArtifactError:
+                judged = (None, _NO_ARTIFACT)
+            else:
+                judged = (artifact, check(artifact.body, problem))
+            if judged[1].reusable:
+                self._judged[key] = judged
+        return judged
+
     def _check_python(self, body: str, problem: Problem) -> Verdict:
         key = (problem.id, body)
         outcome = self._python_outcomes.get(key)
@@ -486,8 +532,10 @@ class Orchestrator:
             outcome = pyexec.run_tests(
                 body, problem, timeout=float(self.config.python["timeout"])
             )
-            if outcome.fault not in ("Timeout", "Crash"):
-                self._python_outcomes[key] = outcome
+        # Timeout and Crash may be the host's fault
+        reusable = outcome.fault not in ("Timeout", "Crash")
+        if reusable:
+            self._python_outcomes[key] = outcome
         errors = []
         for failure in outcome.failures:
             index = failure.get("index")
@@ -506,7 +554,7 @@ class Orchestrator:
                 errors.append(f"test {index}: {reason}")
         if outcome.fault and outcome.fault != "RuntimeError":
             errors.append(f"execution fault: {outcome.fault}")
-        return Verdict(outcome.all_passed, False, tuple(errors), outcome.to_obj())
+        return Verdict(outcome.all_passed, False, tuple(errors), outcome, reusable)
 
     def _check_lean(self, body: str, problem: Problem) -> Verdict:
         include_tests = self.config.success["lean"] == "compile+guards"
@@ -516,7 +564,9 @@ class Orchestrator:
             success=outcome.status is VerifyStatus.VERIFIED,
             stop=outcome.status is VerifyStatus.TOOL_MISSING,
             errors=tuple(_diagnostic_lines(outcome, "verification ended with status")),
-            outcome=outcome.to_obj(),
+            outcome=outcome,
+            # a live compile can time out where another of the same source would not
+            reusable=self.verifier.replays and outcome.status is not VerifyStatus.TIMEOUT,
         )
 
     def _spec_checks(self, chain: Dict, problem: Problem, strategy: StrategyId) -> None:
@@ -551,7 +601,11 @@ class Orchestrator:
     def _theorems(self, chain: Dict, problem: Problem, strategy: StrategyId) -> None:
         artifact = _final_artifact(chain)
         if artifact is not None:
-            candidates = proofs.extract_theorems(artifact["body"], strategy.name)
+            key = (artifact["body"], strategy.name)
+            candidates = self._theorem_sets.get(key)
+            if candidates is None:
+                candidates = tuple(proofs.extract_theorems(*key))
+                self._theorem_sets[key] = candidates
             chain["annotations"]["theorems"] = [c.to_obj() for c in candidates]
 
     # --- retries ---------------------------------------------------------
@@ -591,7 +645,7 @@ class Orchestrator:
         values = dict(problem_values(problem))
         values["python_source"] = round_obj["artifact"]["body"]
         prompt = self.catalog.render_feedback("lean-translation", values)
-        record = self.gateway.complete_n(model, prompt, self._decoding_params(1))[0]
+        record = self.gateway.complete_n(model, prompt, self._single_params)[0]
         try:
             artifact = extract_artifacts(record.text, "code")[0]
         except NoArtifactError:

@@ -55,6 +55,17 @@ class TestRunCommand:
         assert code == 2
         assert "key=value" in err
 
+    @pytest.mark.parametrize("override", [
+        "decoding.temperature=abc", 'temperature_grid=["a"]',
+        'decoding.n_samples="x"', 'python.timeout="x"'])
+    def test_non_numeric_override_is_a_config_error(self, capsys, tmp_path, override):
+        code, out, err = run_cli(capsys, "run", "--config", MINI_CONFIG,
+                                 "--runs-root", str(tmp_path / "runs"),
+                                 "--override", override)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad value for ") and err.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
     def test_mini_replay_run(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "run", "--config", MINI_CONFIG,

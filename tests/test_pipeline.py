@@ -3,12 +3,14 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from types import SimpleNamespace
 
 import pytest
 
-from bridge import pyexec
+from bridge import pipeline, proofs, pyexec
 from bridge.corpus import Problem, UnitTest
 from bridge.errors import ConfigError
 from bridge.gateway import CompletionRecord, prompt_digest
@@ -166,6 +168,31 @@ class TestRunConfig:
             RunConfig.from_obj({**base, "temperature_grid": 0.5})
         with pytest.raises(ConfigError, match="decoding must be an object"):
             RunConfig.from_obj({**base, "decoding": 5})
+
+    @pytest.mark.parametrize("dotted, raw", [
+        ("decoding.temperature", "abc"),
+        ("decoding.max_tokens", '"512"'),
+        ("decoding.n_samples", '"x"'),
+        ("decoding.n_samples", "2.5"),
+        ("decoding.seed", "true"),
+        ("temperature_grid", '["a"]'),
+        ("python.timeout", '"x"'),
+        ("lean.timeout", "null"),
+        ("spec_checks.trials", "[]"),
+        ("spec_checks.random_trials", '"10"'),
+    ])
+    def test_non_numeric_value_refused_at_load(self, dotted, raw):
+        base = {"corpus": "x", "models": ["m"], "strategies": ["code/direct"]}
+        with pytest.raises(ConfigError, match=re.escape(f"bad value for {dotted}")):
+            RunConfig.from_obj(base, {dotted: raw})
+
+    def test_numbers_kept_as_given(self):
+        base = {"corpus": "x", "models": ["m"], "strategies": ["code/direct"]}
+        cfg = RunConfig.from_obj(base, {"decoding.temperature": "1",
+                                        "temperature_grid": "[0, 1.5]"})
+        assert json.dumps(cfg.to_obj()["decoding"]["temperature"]) == "1"
+        assert cfg.to_obj()["temperature_grid"] == [0, 1.5]
+        assert RunConfig.from_obj(base).decoding["seed"] is None
 
     def test_overrides_leave_the_object_alone(self):
         obj = {"corpus": "x", "models": ["m"], "strategies": ["code/direct"],
@@ -537,6 +564,129 @@ theorem addInts_correct (a b : Int) : addInts a b = a + b := by
 theorem addInts_terminates (a b : Int) : ∃ output : Int, addInts a b = output := by
   exact ⟨_, rfl⟩
 ```"""
+
+
+class TestJudgementReuse:
+    """Each distinct (domain, problem, completion text) is judged once per run
+    when its verdict is reusable; each round still gets its own dicts."""
+
+    TWO_SAMPLES = {"temperature": 0.7, "max_tokens": 512, "n_samples": 2}
+    BOOM = "Candidate.lean:3:0: error: boom\n"
+
+    def run_lean(self, tmp_path, verifier, texts=(GOOD_LEAN,),
+                 strategies=("code/direct",), **config_over):
+        config = make_config(tmp_path, strategies=list(strategies),
+                             decoding=self.TWO_SAMPLES, **config_over)
+        orch = Orchestrator(config, gateway=LadderGateway(texts), verifier=verifier,
+                            problems=[ADD])
+        return orch.run().chains
+
+    def count_calls(self, monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def live_verifier(self, tmp_path, results):
+        """A verifier whose compiles return (or raise) each of results in turn."""
+        results = iter(results)
+        calls = []
+
+        def runner(argv, **kwargs):
+            calls.append(argv)
+            result = next(results)
+            if isinstance(result, Exception):
+                raise result
+            return result
+
+        verifier = LeanVerifier(command=["true"], runner=runner,
+                                workdir_factory=lambda: tmp_path / "work")
+        return verifier, calls
+
+    def test_repeated_lean_text_scaffolded_and_checked_once(self, tmp_path, monkeypatch):
+        source = build_source("import Std\n\n" + LEAN_BODY, ADD)
+        verifier = LeanVerifier(
+            transcripts={source_digest(source): {"returncode": 1, "output": self.BOOM}})
+        scaffolds = self.count_calls(monkeypatch, verifier, "scaffold")
+        checks = self.count_calls(monkeypatch, verifier, "check")
+        chains = self.run_lean(tmp_path, verifier, max_retries=1)
+        rounds = [r for chain in chains for r in chain["rounds"]]
+        assert len(rounds) == 4
+        assert len(scaffolds) == len(checks) == 1
+        for key in ("artifact", "outcome"):
+            assert all(r[key] == rounds[0][key] for r in rounds)
+            assert len({id(r[key]) for r in rounds}) == 4
+        assert rounds[0]["outcome"]["status"] == "CompileFailed"
+
+    def test_live_lean_compiles_every_round(self, tmp_path):
+        failed = SimpleNamespace(returncode=1, stdout=self.BOOM, stderr="")
+        verifier, calls = self.live_verifier(tmp_path, [failed] * 4)
+        chains = self.run_lean(tmp_path, verifier, max_retries=1)
+        assert sum(len(chain["rounds"]) for chain in chains) == len(calls) == 4
+
+    def test_live_lean_timeout_is_never_kept(self, tmp_path):
+        verifier, calls = self.live_verifier(tmp_path, [
+            subprocess.TimeoutExpired(["lean"], 1.0),
+            SimpleNamespace(returncode=0, stdout="", stderr=""),
+        ])
+        chains = self.run_lean(tmp_path, verifier, max_retries=0)
+        assert len(calls) == 2
+        assert [c["rounds"][0]["outcome"]["status"] for c in chains] == [
+            "Timeout", "Verified"]
+
+    def test_no_artifact_text_extracted_once(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, pipeline, "extract_artifacts")
+        result, _ = run_spec_chain(
+            tmp_path, [PROSE], decoding=self.TWO_SAMPLES, max_retries=1)
+        assert [c["final_status"] for c in result.chains] == ["NoArtifact"] * 2
+        assert sum(len(c["rounds"]) for c in result.chains) == 4
+        assert len(calls) == 1
+
+    def test_theorems_extracted_once_per_body_and_pathway(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, proofs, "extract_theorems")
+        chains = self.run_lean(
+            tmp_path, LeanVerifier(transcripts={}), texts=[PROOF_COMPLETION],
+            strategies=["proof/unit-tests", "proof/natural-language"], max_retries=0)
+        assert sorted(pathway for _, pathway in calls) == [
+            "natural-language", "unit-tests"]
+        for strategy in ("proof/unit-tests", "proof/natural-language"):
+            first, second = (c["annotations"]["theorems"] for c in chains
+                             if c["strategy"] == strategy)
+            assert len(first) == 2
+            assert first == second
+            assert first is not second and first[0] is not second[0]
+
+    def test_many_workers_write_the_same_bytes(self, tmp_path):
+        source = build_source("import Std\n\n" + LEAN_BODY, ADD)
+        verifier = LeanVerifier(
+            transcripts={source_digest(source): {"returncode": 1, "output": self.BOOM}})
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for parallelism in (1, 8):
+                config = make_config(
+                    tmp_path, parallelism=parallelism, max_retries=2,
+                    models=[f"mock-{i}" for i in range(8)],
+                    strategies=["code/direct", "proof/unit-tests"],
+                    decoding=self.TWO_SAMPLES)
+                orch = Orchestrator(
+                    config, gateway=LadderGateway([GOOD_LEAN, PROSE, GOOD_LEAN]),
+                    verifier=verifier, problems=[ADD])
+                result = orch.run()
+                outputs.append((result.run_dir / "chains.jsonl").read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[0] == outputs[1]
+        rounds = [r for chain in result.chains for r in chain["rounds"]]
+        judged = [r["outcome"] for r in rounds if r["outcome"] is not None]
+        assert len(rounds) == 96 and len(judged) == 64
+        assert len({id(outcome) for outcome in judged}) == 64
 
 
 class TestMetaEmission:
