@@ -7,9 +7,10 @@ or the round budget runs out.
 
 Each domain maps to one backend check that returns a Verdict: spec
 artifacts run against the unit tests in the Python sandbox; code and proof
-artifacts are scaffolded and checked by Lean.  After the chain ends, spec
-chains that succeeded get the contract and vacuity checks, and proof
-chains get their theorems extracted.
+artifacts are scaffolded and checked by Lean, as is the Lean translation
+that cross-feedback asks for, compiled without the unit tests.  After the
+chain ends, spec chains that succeeded get the contract and vacuity checks,
+and proof chains get their theorems extracted.
 
 Serialized chain schema (one JSON object per line in chains.jsonl):
 
@@ -33,12 +34,11 @@ import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import (
-    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
-)
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from . import __version__, metrics, proofs, pyexec
+from . import __version__, lean, metrics, proofs, pyexec
 from .corpus import Problem, load_manifest
 from .errors import ConfigError, NoArtifactError
 from .gateway import CompletionRecord, DecodingParams, ModelGateway, count_tokens
@@ -104,8 +104,10 @@ class RunConfig:
     parallelism: int = 4
     seed: int = 0
     gateway: Mapping = _section(mode="mock", script=None, archive_dir=None, providers={})
-    lean: Mapping = _section(command=None, mathlib=False, timeout=120.0, transcripts=None)
-    python: Mapping = _section(timeout=5.0)
+    lean: Mapping = _section(
+        command=None, mathlib=False, timeout=lean.DEFAULT_TIMEOUT, transcripts=None
+    )
+    python: Mapping = _section(timeout=pyexec.DEFAULT_TIMEOUT)
     success: Mapping = _section(lean="compile+guards")
     spec_checks: Mapping = _section(
         contracts=False,
@@ -114,7 +116,7 @@ class RunConfig:
         trials=pyexec.DEFAULT_TRIALS,
         random_trials=pyexec.DEFAULT_RANDOM_TRIALS,
     )
-    intersection_threshold: int = 3
+    intersection_threshold: int = proofs.DEFAULT_THRESHOLD
     runs_root: str = "runs"
     k_ladder: Tuple[int, ...] = metrics.DEFAULT_K_LADDER
 
@@ -334,10 +336,6 @@ class Verdict:
 _NO_ARTIFACT = Verdict(False, False, (_NO_ARTIFACT_MESSAGE,), None, reusable=True)
 
 
-def _pick(domain: str, index: int) -> Callable[[str], ExtractedArtifact]:
-    return lambda completion: extract_artifacts(completion, domain)[index]
-
-
 def _completion_obj(record: CompletionRecord) -> Dict:
     return {
         "text": record.text,
@@ -377,7 +375,6 @@ class Orchestrator:
         *,
         gateway: Optional[ModelGateway] = None,
         verifier: Optional[LeanVerifier] = None,
-        problems: Optional[Sequence[Problem]] = None,
     ) -> None:
         if config.temperature_grid:
             raise ConfigError("a config with a temperature_grid runs through execute()")
@@ -385,10 +382,8 @@ class Orchestrator:
         self.catalog = TemplateCatalog()
         self.gateway = gateway if gateway is not None else build_gateway(config)
         self.verifier = verifier if verifier is not None else build_verifier(config)
-        # (domain, problem id, completion text) -> artifact and reusable verdict
+        # (backend, problem id, completion text) -> artifact and reusable verdict
         self._judged: Dict[tuple, Tuple[Optional[ExtractedArtifact], Verdict]] = {}
-        # (problem id, body) -> outcome of a reusable Python check
-        self._python_outcomes: Dict[Tuple[str, str], pyexec.TestOutcome] = {}
         # (body, pathway) -> the theorems of a proof chain's final artifact
         self._theorem_sets: Dict[tuple, Tuple[proofs.TheoremCandidate, ...]] = {}
         dec = config.decoding
@@ -402,21 +397,24 @@ class Orchestrator:
             self._single_params,
             n_samples=1 if config.mode == "RetryOnly" else dec["n_samples"],
         )
-        # domain -> (artifact pick, check, after-chain step)
+        lean_source = partial(extract_artifacts, domain="code")
+        python_source = partial(extract_artifacts, domain="spec")
+        guards = config.success["lean"] == "compile+guards"
+        check_lean = partial(self._check_lean, guards=guards)
+        # a domain, or the Lean translation of a spec round that cross-feedback
+        # asks for -> (artifact extraction, check, after-chain step)
         self._backends = {
-            "code": (_pick("code", 0), self._check_lean, None),
-            "spec": (_pick("spec", -1), self._check_python, self._spec_checks),
-            "proof": (_pick("proof", 0), self._check_lean, self._theorems),
+            "code": (lean_source, check_lean, None),
+            "spec": (python_source, self._check_python, self._spec_checks),
+            "proof": (lean_source, check_lean, self._theorems),
+            "translation": (lean_source, partial(self._check_lean, guards=False), None),
         }
-        if problems is None:
-            problems = load_manifest(config.corpus)
-            if config.problems:
-                missing = set(config.problems) - {p.id for p in problems}
-                if missing:
-                    raise ConfigError(
-                        f"config selects unknown problems: {sorted(missing)}"
-                    )
-                problems = [p for p in problems if p.id in config.problems]
+        problems = load_manifest(config.corpus)
+        if config.problems:
+            missing = set(config.problems) - {p.id for p in problems}
+            if missing:
+                raise ConfigError(f"config selects unknown problems: {sorted(missing)}")
+            problems = [p for p in problems if p.id in config.problems]
         self.problems = list(problems)
         if not self.problems:
             raise ConfigError("no problems selected for the run")
@@ -503,20 +501,21 @@ class Orchestrator:
     # --- backends ------------------------------------------------------
 
     def _judge(
-        self, domain: str, problem: Problem, text: str
+        self, backend: str, problem: Problem, text: str
     ) -> Tuple[Optional[ExtractedArtifact], Verdict]:
-        """The artifact picked from a completion text and its verdict.
+        """The artifact extracted from a completion text and its verdict.
 
-        The pair is kept for the rest of the run when the verdict is
-        reusable, so a repeated text (another sample, model or strategy of
-        the domain, or a retry that repeats an answer) is judged once.
+        This is the run's only verdict cache: the pair is kept for the rest
+        of the run when the verdict is reusable, so a repeated text (another
+        sample, model or strategy of the domain, a retry that repeats an
+        answer, or a repeated translation) is judged once.
         """
-        key = (domain, problem.id, text)
+        key = (backend, problem.id, text)
         judged = self._judged.get(key)
         if judged is None:
-            pick, check, _ = self._backends[domain]
+            extract, check, _ = self._backends[backend]
             try:
-                artifact = pick(text)
+                artifact = extract(text)
             except NoArtifactError:
                 judged = (None, _NO_ARTIFACT)
             else:
@@ -526,16 +525,11 @@ class Orchestrator:
         return judged
 
     def _check_python(self, body: str, problem: Problem) -> Verdict:
-        key = (problem.id, body)
-        outcome = self._python_outcomes.get(key)
-        if outcome is None:
-            outcome = pyexec.run_tests(
-                body, problem, timeout=float(self.config.python["timeout"])
-            )
+        outcome = pyexec.run_tests(
+            body, problem, timeout=float(self.config.python["timeout"])
+        )
         # Timeout and Crash may be the host's fault
         reusable = outcome.fault not in ("Timeout", "Crash")
-        if reusable:
-            self._python_outcomes[key] = outcome
         errors = []
         for failure in outcome.failures:
             index = failure.get("index")
@@ -556,9 +550,8 @@ class Orchestrator:
             errors.append(f"execution fault: {outcome.fault}")
         return Verdict(outcome.all_passed, False, tuple(errors), outcome, reusable)
 
-    def _check_lean(self, body: str, problem: Problem) -> Verdict:
-        include_tests = self.config.success["lean"] == "compile+guards"
-        project = self.verifier.scaffold(body, problem, include_tests=include_tests)
+    def _check_lean(self, body: str, problem: Problem, *, guards: bool) -> Verdict:
+        project = self.verifier.scaffold(body, problem, include_tests=guards)
         outcome = self.verifier.check(project)
         return Verdict(
             success=outcome.status is VerifyStatus.VERIFIED,
@@ -646,23 +639,20 @@ class Orchestrator:
         values["python_source"] = round_obj["artifact"]["body"]
         prompt = self.catalog.render_feedback("lean-translation", values)
         record = self.gateway.complete_n(model, prompt, self._single_params)[0]
-        try:
-            artifact = extract_artifacts(record.text, "code")[0]
-        except NoArtifactError:
+        artifact, verdict = self._judge("translation", problem, record.text)
+        if artifact is None:
             annotations["cross_feedback_no_artifact"] = True
             return None
-        project = self.verifier.scaffold(artifact.body, problem, include_tests=False)
-        outcome = self.verifier.check(project)
         round_obj["cross_feedback"] = {
             "prompt_digest": record.prompt_digest,
             "completion": _completion_obj(record),
             "artifact": _artifact_obj(artifact),
-            "outcome": outcome.to_obj(),
+            "outcome": verdict.outcome.to_obj(),
         }
-        if outcome.status is VerifyStatus.TOOL_MISSING:
+        if verdict.stop:
             annotations["lean_unavailable"] = True
             return None
-        return "\n".join(_diagnostic_lines(outcome, "Lean verification status:"))
+        return "\n".join(_diagnostic_lines(verdict.outcome, "Lean verification status:"))
 
     # --- run assembly --------------------------------------------------
 

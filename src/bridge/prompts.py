@@ -75,16 +75,9 @@ class StrategyId:
         return StrategyId(domain=domain, name=name)
 
 
-def list_strategies(domain: Optional[str] = None) -> List[StrategyId]:
-    """All strategies in declaration order, optionally for one domain."""
-    if domain is not None:
-        if domain not in STRATEGIES:
-            raise TemplateError(f"unknown domain {domain!r}")
-        return [StrategyId(domain, n) for n in STRATEGIES[domain]]
-    out: List[StrategyId] = []
-    for dom in DOMAINS:
-        out.extend(StrategyId(dom, n) for n in STRATEGIES[dom])
-    return out
+def list_strategies() -> List[StrategyId]:
+    """All strategies in declaration order."""
+    return [StrategyId(domain, name) for domain in DOMAINS for name in STRATEGIES[domain]]
 
 
 @dataclass(frozen=True)
@@ -258,14 +251,14 @@ def _trim_block(body: str, start: int) -> Tuple[str, int, int]:
     return body, start, end
 
 
-def extract_artifacts(completion: str, domain: str) -> List[ExtractedArtifact]:
-    """Pull verifiable artifacts out of a model completion.
+def extract_artifacts(completion: str, domain: str) -> ExtractedArtifact:
+    """Pull the verifiable artifact out of a model completion.
 
-    Spec domain: every non-empty region between <python> and </python>, in
-    order (consumers take the last). Code and proof domains: one artifact,
-    the last complete fenced code block, falling back to the region starting
-    at the first line beginning with `import Std`. Theorems inside a proof
-    are read by proofs.extract_theorems.
+    Spec domain: the last non-empty region between <python> and </python>.
+    Code and proof domains: the last complete fenced code block, falling
+    back to the region starting at the first line beginning with
+    `import Std`. Theorems inside a proof are read by
+    proofs.extract_theorems.
 
     Raises NoArtifactError when nothing extractable is present.
     """
@@ -273,16 +266,11 @@ def extract_artifacts(completion: str, domain: str) -> List[ExtractedArtifact]:
         raise TemplateError(f"unknown domain {domain!r}")
 
     if domain == "spec":
-        artifacts = []
-        for match in _PYTHON_BLOCK.finditer(completion):
+        for match in reversed(list(_PYTHON_BLOCK.finditer(completion))):
             body, start, end = _trim_block(match.group(1), match.start(1))
             if body.strip():
-                artifacts.append(
-                    ExtractedArtifact(kind="PythonSource", body=body, span=(start, end))
-                )
-        if not artifacts:
-            raise NoArtifactError("no <python> block found in completion")
-        return artifacts
+                return ExtractedArtifact(kind="PythonSource", body=body, span=(start, end))
+        raise NoArtifactError("no <python> block found in completion")
 
     lean_body: Optional[str] = None
     base = 0
@@ -304,8 +292,6 @@ def extract_artifacts(completion: str, domain: str) -> List[ExtractedArtifact]:
         raise NoArtifactError(
             "no fenced code block or import Std region found in completion"
         )
-    return [
-        ExtractedArtifact(
-            kind="LeanSource", body=lean_body, span=(base, base + len(lean_body))
-        )
-    ]
+    return ExtractedArtifact(
+        kind="LeanSource", body=lean_body, span=(base, base + len(lean_body))
+    )

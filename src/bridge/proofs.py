@@ -13,16 +13,6 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-THEOREM_CATEGORIES = (
-    "Correctness",
-    "Bounds",
-    "Termination",
-    "Monotonicity",
-    "InvariantPreservation",
-    "Optimality",
-    "Other",
-)
-
 DEFAULT_THRESHOLD = 3
 
 _THEOREM_DECL = re.compile(r"(?m)^theorem\s+([A-Za-z_][A-Za-z0-9_'!?]*)")
@@ -127,6 +117,8 @@ _CATEGORY_RULES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("Termination", ("terminates", "WellFounded", "∃ output")),
     ("Correctness", ("_correct", "correctness")),
 )
+# needles matched as written; every other needle ignores case
+_CASE_SENSITIVE = ("WellFounded", "∃ output")
 
 
 def categorize(name: str, statement: str) -> List[str]:
@@ -135,11 +127,11 @@ def categorize(name: str, statement: str) -> List[str]:
     lowered = haystack.lower()
     found: List[str] = []
     for category, needles in _CATEGORY_RULES:
-        for needle in needles:
-            probe = haystack if needle in ("WellFounded", "∃ output") else lowered
-            if (needle if needle in ("WellFounded", "∃ output") else needle.lower()) in probe:
-                found.append(category)
-                break
+        if any(
+            needle in haystack if needle in _CASE_SENSITIVE else needle.lower() in lowered
+            for needle in needles
+        ):
+            found.append(category)
     return found if found else ["Other"]
 
 

@@ -474,8 +474,6 @@ _RECIPES = {
     "return-minus-one": [_Mutator(returns=_plus(-1)), _Mutator(returns=_plus(-2))],
 }
 
-MUTANT_NAMES = tuple(_RECIPES)
-
 
 def _mutate(source: str, function_name: str, mutator: _Mutator) -> str:
     """The source with the function's body mutated; its decorators, and so

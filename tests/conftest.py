@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import pathlib
 
 import pytest
@@ -11,6 +13,19 @@ _acceptance_lines = []
 def _repo_cwd(monkeypatch):
     # fixture configs use repo-relative paths
     monkeypatch.chdir(ROOT)
+
+
+def write_corpus(directory, *problems):
+    """Write the problems as a JSONL corpus under directory; its path.
+
+    Lets a test run a synthetic problem through a config's corpus key.
+    """
+    path = pathlib.Path(directory) / "corpus.jsonl"
+    path.write_text(
+        "".join(json.dumps(dataclasses.asdict(p)) + "\n" for p in problems),
+        encoding="utf-8",
+    )
+    return str(path)
 
 
 @pytest.fixture(scope="session")

@@ -35,6 +35,7 @@ from bridge.proofs import (
     extract_theorems,
     intersect,
 )
+from conftest import write_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "data" / "goldens"
@@ -209,7 +210,7 @@ class ScriptedGateway:
 
 def _spec_run(tmp_path, texts, **over):
     obj = {
-        "corpus": "fixtures/corpus.jsonl",
+        "corpus": write_corpus(tmp_path, ADD),
         "models": ["mock-m"],
         "strategies": ["spec/direct"],
         "decoding": {"temperature": 0.7, "max_tokens": 512, "n_samples": 1},
@@ -220,8 +221,7 @@ def _spec_run(tmp_path, texts, **over):
     obj.update(over)
     config = RunConfig.from_obj(obj)
     gw = ScriptedGateway(texts)
-    orch = Orchestrator(config, gateway=gw, verifier=LeanVerifier(transcripts={}),
-                        problems=[ADD])
+    orch = Orchestrator(config, gateway=gw, verifier=LeanVerifier(transcripts={}))
     return orch.run().chains[0], gw
 
 

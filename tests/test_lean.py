@@ -326,23 +326,6 @@ class TestVerifierTranscripts:
         assert outcome.status is VerifyStatus.COMPILE_FAILED
         assert runner.calls == []
 
-    def test_transcript_interpreted_once_per_digest(self, tmp_path, monkeypatch):
-        import bridge.lean as lean
-
-        calls = []
-        real = lean.parse_diagnostics
-        monkeypatch.setattr(
-            lean, "parse_diagnostics", lambda out: calls.append(out) or real(out)
-        )
-        out = "Candidate.lean:1:0: error: unknown identifier 'g'\n"
-        v, project = self.build(tmp_path, "def f : Int := g",
-                                {"returncode": 1, "output": out})
-        first = v.check(project)
-        second = v.check(v.scaffold("def f : Int := g", None, include_tests=False))
-        assert len(calls) == 1
-        assert first == second
-        assert first.error_classes == frozenset({ErrorClass.UNKNOWN_IDENTIFIER})
-
     def test_live_checks_are_never_reused(self, tmp_path):
         runner = make_runner(returncode=0, stdout="")
         v = LeanVerifier(command=["true"], runner=runner,

@@ -16,6 +16,7 @@ from bridge.errors import ConfigError
 from bridge.gateway import CompletionRecord, prompt_digest
 from bridge.lean import LeanVerifier, build_source, source_digest
 from bridge.pipeline import Orchestrator, RunConfig, execute, write_report
+from conftest import write_corpus
 
 ADD = Problem(
     id="add-ints",
@@ -74,11 +75,15 @@ def make_config(tmp_path, **over):
     return RunConfig.from_obj(obj)
 
 
+def add_config(tmp_path, **over):
+    """A config over a corpus of the one problem ADD."""
+    return make_config(tmp_path, corpus=write_corpus(tmp_path, ADD), **over)
+
+
 def run_spec_chain(tmp_path, texts, **config_over):
-    config = make_config(tmp_path, **config_over)
+    config = add_config(tmp_path, **config_over)
     gw = LadderGateway(texts)
-    orch = Orchestrator(config, gateway=gw, verifier=LeanVerifier(transcripts={}),
-                        problems=[ADD])
+    orch = Orchestrator(config, gateway=gw, verifier=LeanVerifier(transcripts={}))
     result = orch.run()
     return result, gw
 
@@ -314,22 +319,20 @@ class TestLeanChains:
     def test_verified_chain(self, tmp_path):
         transcripts = self.make_transcripts(
             "import Std\n\n" + LEAN_BODY, ADD, 0, "")
-        config = make_config(tmp_path, strategies=["code/direct"])
+        config = add_config(tmp_path, strategies=["code/direct"])
         gw = LadderGateway([GOOD_LEAN])
         orch = Orchestrator(config, gateway=gw,
-                            verifier=LeanVerifier(transcripts=transcripts),
-                            problems=[ADD])
+                            verifier=LeanVerifier(transcripts=transcripts))
         chain = orch.run().chains[0]
         assert chain["final_status"] == "Success"
         assert chain["rounds"][0]["outcome"]["status"] == "Verified"
         assert chain["annotations"] == {}
 
     def test_tool_missing_stops_chain(self, tmp_path):
-        config = make_config(tmp_path, strategies=["code/direct"], max_retries=3)
+        config = add_config(tmp_path, strategies=["code/direct"], max_retries=3)
         gw = LadderGateway([GOOD_LEAN])
         orch = Orchestrator(config, gateway=gw,
-                            verifier=LeanVerifier(transcripts={}),
-                            problems=[ADD])
+                            verifier=LeanVerifier(transcripts={}))
         chain = orch.run().chains[0]
         assert chain["final_status"] == "Failure"
         assert len(chain["rounds"]) == 1
@@ -340,12 +343,11 @@ class TestLeanChains:
         body = "import Std\n\n" + LEAN_BODY
         source = build_source(body, ADD, include_tests=False)
         transcripts = {source_digest(source): {"returncode": 0, "output": ""}}
-        config = make_config(tmp_path, strategies=["code/direct"],
-                             success={"lean": "compile-only"})
+        config = add_config(tmp_path, strategies=["code/direct"],
+                            success={"lean": "compile-only"})
         gw = LadderGateway([GOOD_LEAN])
         orch = Orchestrator(config, gateway=gw,
-                            verifier=LeanVerifier(transcripts=transcripts),
-                            problems=[ADD])
+                            verifier=LeanVerifier(transcripts=transcripts))
         chain = orch.run().chains[0]
         assert chain["final_status"] == "Success"
 
@@ -355,12 +357,11 @@ class TestLeanChains:
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
         transcripts = self.make_transcripts(
             "import Std\n\n" + LEAN_BODY, ADD, 1, "Candidate.lean:1:0: error: boom\n")
-        config = make_config(tmp_path, strategies=["code/direct", "proof/unit-tests"],
-                             max_retries=2)
+        config = add_config(tmp_path, strategies=["code/direct", "proof/unit-tests"],
+                            max_retries=2)
         gw = LadderGateway([GOOD_LEAN])
         orch = Orchestrator(config, gateway=gw,
-                            verifier=LeanVerifier(transcripts=transcripts),
-                            problems=[ADD])
+                            verifier=LeanVerifier(transcripts=transcripts))
         chains = orch.run().chains
         assert sum(len(c["rounds"]) for c in chains) == 6
         assert not [n for n in os.listdir(scratch) if n.startswith("bridge-lean-")]
@@ -368,11 +369,10 @@ class TestLeanChains:
     def test_failed_lean_retry_prompt_lists_diagnostics(self, tmp_path):
         output = "Candidate.lean:3:0: error: unknown identifier 'mystery'\n"
         transcripts = self.make_transcripts("import Std\n\n" + LEAN_BODY, ADD, 1, output)
-        config = make_config(tmp_path, strategies=["code/direct"], max_retries=1)
+        config = add_config(tmp_path, strategies=["code/direct"], max_retries=1)
         gw = LadderGateway([GOOD_LEAN])
         orch = Orchestrator(config, gateway=gw,
-                            verifier=LeanVerifier(transcripts=transcripts),
-                            problems=[ADD])
+                            verifier=LeanVerifier(transcripts=transcripts))
         chain = orch.run().chains[0]
         assert chain["final_status"] == "Failure"
         assert len(chain["rounds"]) == 2
@@ -400,13 +400,12 @@ class TestCrossFeedback:
     TRANSLATED = f"```lean\nimport Std\n\n{LEAN_BODY}\n```"
 
     def run_with_feedback(self, tmp_path, transcripts, reply=TRANSLATED):
-        config = make_config(
+        config = add_config(
             tmp_path, max_retries=1,
             spec_checks={"cross_feedback": True})
         gw = CrossFeedbackGateway([WRONG_PY, GOOD_PY], reply)
         orch = Orchestrator(config, gateway=gw,
-                            verifier=LeanVerifier(transcripts=transcripts),
-                            problems=[ADD])
+                            verifier=LeanVerifier(transcripts=transcripts))
         return orch.run().chains[0], gw
 
     def test_feedback_round_attached_and_refinement_used(self, tmp_path):
@@ -459,17 +458,59 @@ class TestCrossFeedback:
         assert "# RETRY ATTEMPT 1/1" in retry_prompt
         assert "cross_feedback" not in chain["rounds"][0]
 
+    def two_translations(self, tmp_path, verifier):
+        """The cross_feedback objects of two samples that get one translation."""
+        config = add_config(tmp_path, max_retries=1,
+                            decoding={"temperature": 0.7, "max_tokens": 512,
+                                      "n_samples": 2},
+                            spec_checks={"cross_feedback": True})
+        gw = CrossFeedbackGateway([WRONG_PY, GOOD_PY], self.TRANSLATED)
+        chains = Orchestrator(config, gateway=gw, verifier=verifier).run().chains
+        assert [c["final_status"] for c in chains] == ["Success"] * 2
+        assert [c["round"] for c in gw.calls].count("translate") == 2
+        return [c["rounds"][0]["cross_feedback"] for c in chains]
+
+    def test_repeated_translation_scaffolded_and_checked_once(self, tmp_path, monkeypatch):
+        source = build_source("import Std\n\n" + LEAN_BODY, ADD, include_tests=False)
+        output = "Candidate.lean:1:0: error: type mismatch\n"
+        verifier = LeanVerifier(
+            transcripts={source_digest(source): {"returncode": 1, "output": output}})
+        calls = []
+        for name in ("scaffold", "check"):
+            def counted(*args, name=name, original=getattr(verifier, name), **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(verifier, name, counted)
+        first, second = self.two_translations(tmp_path, verifier)
+        assert calls == ["scaffold", "check"]
+        assert first == second
+        assert first["outcome"] is not second["outcome"]
+        assert first["outcome"]["status"] == "CompileFailed"
+
+    def test_live_verifier_compiles_every_translation(self, tmp_path):
+        compiles = []
+
+        def runner(argv, **kwargs):
+            compiles.append(argv)
+            return SimpleNamespace(returncode=1, stderr="",
+                                   stdout="Candidate.lean:1:0: error: type mismatch\n")
+
+        verifier = LeanVerifier(command=["true"], runner=runner,
+                                workdir_factory=lambda: tmp_path / "work")
+        first, second = self.two_translations(tmp_path, verifier)
+        assert len(compiles) == 2
+        assert first["outcome"]["status"] == second["outcome"]["status"] == "CompileFailed"
+
 
 class TestSpecAnnotations:
     def test_contracts_and_vacuity_on_success(self, tmp_path):
-        config = make_config(
+        config = add_config(
             tmp_path,
             spec_checks={"contracts": True, "vacuity": True,
                          "trials": 10, "random_trials": 5})
         gw = LadderGateway([GOOD_PY])
         orch = Orchestrator(config, gateway=gw,
-                            verifier=LeanVerifier(transcripts={}),
-                            problems=[ADD])
+                            verifier=LeanVerifier(transcripts={}))
         chain = orch.run().chains[0]
         assert chain["final_status"] == "Success"
         assert chain["annotations"]["contracts"]["type"] == "contracts"
@@ -486,25 +527,23 @@ class TestSpecAnnotations:
 
         monkeypatch.setattr(pyexec, "check_contracts", recorder("contracts"))
         monkeypatch.setattr(pyexec, "vacuity_check", recorder("vacuity"))
-        config = make_config(
+        config = add_config(
             tmp_path, python={"timeout": 7.5},
             spec_checks={"contracts": True, "vacuity": True})
         orch = Orchestrator(config, gateway=LadderGateway([GOOD_PY]),
-                            verifier=LeanVerifier(transcripts={}),
-                            problems=[ADD])
+                            verifier=LeanVerifier(transcripts={}))
         assert orch.run().chains[0]["final_status"] == "Success"
         assert seen == [("contracts", 7.5), ("vacuity", 7.5)]
 
     def test_no_annotations_on_failure(self, tmp_path):
-        config = make_config(
+        config = add_config(
             tmp_path,
             spec_checks={"contracts": True, "vacuity": True,
                          "trials": 10, "random_trials": 5},
             max_retries=0)
         gw = LadderGateway([WRONG_PY])
         orch = Orchestrator(config, gateway=gw,
-                            verifier=LeanVerifier(transcripts={}),
-                            problems=[ADD])
+                            verifier=LeanVerifier(transcripts={}))
         chain = orch.run().chains[0]
         assert chain["final_status"] == "Failure"
         assert "contracts" not in chain["annotations"]
@@ -535,9 +574,9 @@ class TestPythonCheckReuse:
     def test_same_body_on_two_problems_checked_twice(self, tmp_path, monkeypatch):
         calls = self.count_calls(monkeypatch)
         again = dataclasses.replace(ADD, id="add-ints-again")
-        orch = Orchestrator(make_config(tmp_path), gateway=LadderGateway([GOOD_PY]),
-                            verifier=LeanVerifier(transcripts={}),
-                            problems=[ADD, again])
+        config = make_config(tmp_path, corpus=write_corpus(tmp_path, ADD, again))
+        orch = Orchestrator(config, gateway=LadderGateway([GOOD_PY]),
+                            verifier=LeanVerifier(transcripts={}))
         assert [c["final_status"] for c in orch.run().chains] == ["Success"] * 2
         assert sorted(problem_id for problem_id, _ in calls) == [ADD.id, again.id]
         assert len({body for _, body in calls}) == 1
@@ -575,10 +614,9 @@ class TestJudgementReuse:
 
     def run_lean(self, tmp_path, verifier, texts=(GOOD_LEAN,),
                  strategies=("code/direct",), **config_over):
-        config = make_config(tmp_path, strategies=list(strategies),
-                             decoding=self.TWO_SAMPLES, **config_over)
-        orch = Orchestrator(config, gateway=LadderGateway(texts), verifier=verifier,
-                            problems=[ADD])
+        config = add_config(tmp_path, strategies=list(strategies),
+                            decoding=self.TWO_SAMPLES, **config_over)
+        orch = Orchestrator(config, gateway=LadderGateway(texts), verifier=verifier)
         return orch.run().chains
 
     def count_calls(self, monkeypatch, owner, name):
@@ -670,14 +708,14 @@ class TestJudgementReuse:
         sys.setswitchinterval(1e-6)
         try:
             for parallelism in (1, 8):
-                config = make_config(
+                config = add_config(
                     tmp_path, parallelism=parallelism, max_retries=2,
                     models=[f"mock-{i}" for i in range(8)],
                     strategies=["code/direct", "proof/unit-tests"],
                     decoding=self.TWO_SAMPLES)
                 orch = Orchestrator(
                     config, gateway=LadderGateway([GOOD_LEAN, PROSE, GOOD_LEAN]),
-                    verifier=verifier, problems=[ADD])
+                    verifier=verifier)
                 result = orch.run()
                 outputs.append((result.run_dir / "chains.jsonl").read_bytes())
         finally:
@@ -691,15 +729,14 @@ class TestJudgementReuse:
 
 class TestMetaEmission:
     def test_meta_written_for_proof_chains(self, tmp_path):
-        config = make_config(
+        config = add_config(
             tmp_path,
             strategies=["proof/unit-tests", "proof/natural-language"],
             intersection_threshold=2,
             max_retries=0)
         gw = LadderGateway([PROOF_COMPLETION])
         orch = Orchestrator(config, gateway=gw,
-                            verifier=LeanVerifier(transcripts={}),
-                            problems=[ADD])
+                            verifier=LeanVerifier(transcripts={}))
         result = orch.run()
         for chain in result.chains:
             names = [t["name"] for t in chain["annotations"]["theorems"]]
@@ -722,13 +759,12 @@ class TestMetaEmission:
 
 class TestRunAssembly:
     def test_manifest_and_chain_ordering(self, tmp_path):
-        config = make_config(
+        config = add_config(
             tmp_path, models=["mock-b", "mock-a"],
             decoding={"temperature": 0.7, "max_tokens": 512, "n_samples": 2})
         gw = LadderGateway([GOOD_PY])
         orch = Orchestrator(config, gateway=gw,
-                            verifier=LeanVerifier(transcripts={}),
-                            problems=[ADD])
+                            verifier=LeanVerifier(transcripts={}))
         result = orch.run()
         assert result.manifest["chain_count"] == 4
         assert result.manifest["cell_count"] == 2
@@ -757,14 +793,13 @@ class TestRunAssembly:
     def test_parallelism_does_not_change_output(self, tmp_path):
         results = []
         for parallelism in (1, 4):
-            config = make_config(
+            config = add_config(
                 tmp_path, parallelism=parallelism,
                 models=["mock-a", "mock-b"],
                 decoding={"temperature": 0.7, "max_tokens": 512, "n_samples": 2})
             gw = LadderGateway([WRONG_PY, GOOD_PY])
             orch = Orchestrator(config, gateway=gw,
-                                verifier=LeanVerifier(transcripts={}),
-                                problems=[ADD])
+                                verifier=LeanVerifier(transcripts={}))
             results.append(orch.run())
         a = (results[0].run_dir / "chains.jsonl").read_bytes()
         b = (results[1].run_dir / "chains.jsonl").read_bytes()

@@ -22,9 +22,8 @@ class TestStrategyTaxonomy:
         assert len(list_strategies()) == 22
 
     def test_domain_counts(self):
-        assert len(list_strategies("code")) == 9
-        assert len(list_strategies("spec")) == 8
-        assert len(list_strategies("proof")) == 5
+        domains = [s.domain for s in list_strategies()]
+        assert [domains.count(d) for d in ("code", "spec", "proof")] == [9, 8, 5]
 
     def test_parse_and_key(self):
         s = StrategyId.parse("code/haskell-functional")
@@ -128,22 +127,22 @@ class TestRetryPrompt:
 class TestExtraction:
     def test_lean_fenced_block(self):
         completion = "thinking...\n```lean\nimport Std\n\ndef f : Int := 1\n```\n"
-        arts = extract_artifacts(completion, "code")
-        assert arts[0].kind == "LeanSource"
-        assert arts[0].body == "import Std\n\ndef f : Int := 1"
+        art = extract_artifacts(completion, "code")
+        assert art.kind == "LeanSource"
+        assert art.body == "import Std\n\ndef f : Int := 1"
 
     def test_last_fenced_block_wins(self):
         completion = (
             "```lean\ndef old : Int := 0\n```\nrevised:\n"
             "```lean\ndef new : Int := 1\n```\n"
         )
-        arts = extract_artifacts(completion, "code")
-        assert "new" in arts[0].body and "old" not in arts[0].body
+        art = extract_artifacts(completion, "code")
+        assert "new" in art.body and "old" not in art.body
 
     def test_bare_import_std_fallback(self):
         completion = "Here you go:\nimport Std\n\ndef f : Int := 2\n"
-        arts = extract_artifacts(completion, "code")
-        assert arts[0].body.startswith("import Std")
+        art = extract_artifacts(completion, "code")
+        assert art.body.startswith("import Std")
 
     def test_theorem_subspans(self):
         completion = (
@@ -151,24 +150,25 @@ class TestExtraction:
             "theorem f_correct : f = f := rfl\n```\n"
         )
         # theorems stay inside the one LeanSource; proofs.extract_theorems reads them
-        arts = extract_artifacts(completion, "proof")
-        assert [a.kind for a in arts] == ["LeanSource"]
-        assert "theorem f_correct" in arts[0].body
+        art = extract_artifacts(completion, "proof")
+        assert art.kind == "LeanSource"
+        assert "theorem f_correct" in art.body
 
-    def test_python_blocks_all_returned_in_order(self):
+    def test_last_non_empty_python_block_wins(self):
         completion = (
             "<python>\ndef f():\n    return 1\n</python>\n"
             "wait, better:\n<python>\ndef f():\n    return 2\n</python>\n"
+            "<python>\n  \n</python>\n"
         )
-        arts = extract_artifacts(completion, "spec")
-        assert len(arts) == 2
-        assert all(a.kind == "PythonSource" for a in arts)
-        assert "return 2" in arts[-1].body
+        art = extract_artifacts(completion, "spec")
+        assert art.kind == "PythonSource"
+        assert "return 2" in art.body and "return 1" not in art.body
+        assert completion[art.span[0]:art.span[1]] == art.body
 
     def test_span_identity(self):
         body = "def f():\n    return 1\n"
         completion = f"prelude\n<python>\n{body}</python>\n"
-        art = extract_artifacts(completion, "spec")[0]
+        art = extract_artifacts(completion, "spec")
         start, end = art.span
         assert completion[start:end] == art.body
 

@@ -17,6 +17,7 @@ from bridge.gateway import CompletionRecord, prompt_digest
 from bridge.lean import LeanVerifier
 from bridge.pipeline import Orchestrator, RunConfig
 from bridge.sandbox_server import fingerprint
+from conftest import write_corpus
 
 
 def make_problem(fn, params, ret, cases, order_insensitive=False):
@@ -680,7 +681,7 @@ class FixedGateway:
 class TestServerLifetime:
     def make_orchestrator(self, tmp_path, gateway):
         config = RunConfig.from_obj({
-            "corpus": "fixtures/corpus.jsonl",
+            "corpus": write_corpus(tmp_path, ADD),
             "models": ["mock-m"],
             "strategies": ["spec/direct"],
             "decoding": {"temperature": 0.7, "max_tokens": 512, "n_samples": 2},
@@ -690,7 +691,7 @@ class TestServerLifetime:
             "runs_root": str(tmp_path / "runs"),
         })
         return Orchestrator(config, gateway=gateway,
-                            verifier=LeanVerifier(transcripts={}), problems=[ADD])
+                            verifier=LeanVerifier(transcripts={}))
 
     def test_run_leaves_no_children(self, tmp_path):
         gateway = FixedGateway(f"<python>\n{GOOD_ADD}</python>")
@@ -810,7 +811,10 @@ def clampNonNeg(nums):
 class TestBuildMutants:
     def test_full_recipe_set(self):
         mutants = pyexec.build_mutants(CLAMP_SRC, "clampNonNeg")
-        assert [name for name, _ in mutants] == list(pyexec.MUTANT_NAMES)
+        assert [name for name, _ in mutants] == [
+            "const-return-zero", "const-return-none", "negate-comparisons",
+            "mirror-comparisons", "return-plus-one", "return-minus-one",
+        ]
 
     def test_mutant_sources_are_pinned(self):
         mutants = pyexec.build_mutants(CLAMP_SRC, "clampNonNeg")
