@@ -70,24 +70,30 @@ def _section(**defaults) -> dataclasses.Field:
     return dataclasses.field(default_factory=lambda: dict(defaults))
 
 
-# a field's annotation text ("int", "str", "Tuple[...]") names how its JSON
-# value is converted; every "Mapping" field is a section
-_CONVERT = {"int": int, "str": str, "Tuple": tuple}
-
-# section keys the run reads as numbers; they are checked, never converted,
-# so an int temperature keeps its bytes in the manifest and the run id
-_NUMBERS = {
+# each config value's JSON kind: int an integer, float a number, bool a
+# boolean, str a string and [kind] an array of that kind.  Values are checked,
+# never converted, so an int temperature keeps its bytes in the manifest and
+# the run id.  A top-level field's kind is named by its annotation text.
+_FIELD_KINDS = {"int": int, "str": str, "Tuple[str, ...]": [str],
+                "Tuple[int, ...]": [int], "Tuple[float, ...]": [float]}
+_SECTION_KINDS = {
     "decoding": {"temperature": float, "max_tokens": int, "n_samples": int, "seed": int},
     "python": {"timeout": float},
-    "lean": {"timeout": float},
-    "spec_checks": {"trials": int, "random_trials": int},
+    "lean": {"command": [str], "mathlib": bool, "timeout": float},
+    "spec_checks": {"contracts": bool, "vacuity": bool, "cross_feedback": bool,
+                    "trials": int, "random_trials": int},
 }
+_NULLABLE = ("decoding.seed", "lean.command")
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 
 
-def _check_number(name: str, value, kind: type) -> None:
-    """Refuse a value that is not a JSON number (an integer when kind is int)."""
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        expected = "an integer" if kind is int else "a number"
+def _check(name: str, value, kind) -> None:
+    """Refuse a value that is not of `kind` in JSON; true is no integer."""
+    if isinstance(kind, list) and isinstance(value, list):
+        for item in value:
+            _check(name, item, kind[0])
+    elif type(value) not in ((int, float) if kind is float else (kind,)):
+        expected = "an array" if isinstance(kind, list) else _KIND_NAMES[kind]
         raise ConfigError(f"bad value for {name}: {value!r}; expected {expected}")
 
 
@@ -146,19 +152,15 @@ class RunConfig:
             if field.type == "Mapping":
                 given[field.name] = _merged(field.default_factory(), value, field.name)
                 continue
-            try:
-                given[field.name] = _CONVERT[field.type.partition("[")[0]](value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {field.name}: {value!r}") from exc
+            _check(field.name, value, _FIELD_KINDS[field.type])
+            given[field.name] = tuple(value) if isinstance(value, list) else value
         config = cls(**given)
 
-        for section, kinds in _NUMBERS.items():
+        for section, kinds in _SECTION_KINDS.items():
             for key, kind in kinds.items():
-                value = getattr(config, section)[key]
-                if not (key == "seed" and value is None):
-                    _check_number(f"{section}.{key}", value, kind)
-        for temperature in config.temperature_grid:
-            _check_number("temperature_grid", temperature, float)
+                name, value = f"{section}.{key}", getattr(config, section)[key]
+                if not (value is None and name in _NULLABLE):
+                    _check(name, value, kind)
         for raw in config.strategies:
             try:
                 StrategyId.parse(raw)
@@ -172,6 +174,9 @@ class RunConfig:
             raise ConfigError("max_retries must be non-negative")
         if config.parallelism < 1:
             raise ConfigError("parallelism must be at least 1")
+        if not all(k > 0 for k in config.k_ladder):
+            ladder = list(config.k_ladder)
+            raise ConfigError(f"bad value for k_ladder: {ladder}; expected positive integers")
         if config.success["lean"] not in SUCCESS_PREDICATES:
             raise ConfigError(
                 f"unknown success predicate {config.success['lean']}; "
@@ -261,7 +266,7 @@ def build_verifier(config: RunConfig) -> LeanVerifier:
     ln = config.lean
     return LeanVerifier(
         command=ln["command"],
-        mathlib=bool(ln["mathlib"]),
+        mathlib=ln["mathlib"],
         timeout=float(ln["timeout"]),
         transcripts=ln["transcripts"],
     )
@@ -573,7 +578,7 @@ class Orchestrator:
             report = pyexec.check_contracts(
                 body,
                 problem,
-                trials=int(checks["trials"]),
+                trials=checks["trials"],
                 seed=self.config.seed,
                 timeout=timeout,
             )
@@ -584,7 +589,7 @@ class Orchestrator:
                     body,
                     problem,
                     seed=self.config.seed,
-                    random_trials=int(checks["random_trials"]),
+                    random_trials=checks["random_trials"],
                     timeout=timeout,
                 ).to_obj()
             except pyexec.MutantError as exc:

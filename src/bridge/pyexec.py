@@ -260,14 +260,20 @@ def shutdown() -> None:
 atexit.register(shutdown)
 
 
-def _run_child(
+def _execute(
     source: str, function_name: str, inputs: List[List[object]], *, timeout: float
-) -> _ChildResult:
+) -> Tuple[List[Optional[Dict[str, object]]], Optional[str]]:
     """Call the candidate on each argument list in a fresh work directory:
-    (records, returncode, timed_out).  No expected value is sent."""
+    (each input's record or None, the run's fault).  No expected value is sent.
+
+    An input's record is the last one whose index names it; a `crash` record
+    stands for every input; a record that names no input counts for nothing.
+    The fault is Timeout when the run timed out without a crash, Crash for a
+    crash record or an error exit, and otherwise None.
+    """
     workdir = tempfile.mkdtemp(prefix="bridge-py-")
     try:
-        return _POOL.run({
+        raw, returncode, timed_out = _POOL.run({
             "source": source,
             "function_name": function_name,
             "inputs": inputs,
@@ -282,6 +288,18 @@ def _run_child(
             os.rmdir(workdir)
         except OSError:
             shutil.rmtree(workdir, ignore_errors=True)
+
+    crash = next((rec for rec in raw if rec.get("kind") == "crash"), None)
+    if crash is not None:
+        return [crash] * len(inputs), "Crash"
+    records: List[Optional[Dict[str, object]]] = [None] * len(inputs)
+    for rec in raw:
+        index = rec.get("index")
+        if type(index) is int and 0 <= index < len(inputs):
+            records[index] = rec
+    if timed_out:
+        return records, "Timeout"
+    return records, None if returncode in (0, None) else "Crash"
 
 
 def _matches(observed: object, test: UnitTest) -> bool:
@@ -301,34 +319,19 @@ def run_tests(
     timeout: float = DEFAULT_TIMEOUT,
 ) -> TestOutcome:
     """Execute the candidate against the problem's unit tests."""
-    inputs = [test.parsed_inputs() for test in problem.tests]
-    records, returncode, timed_out = _run_child(
-        artifact_body, problem.function_name, inputs, timeout=timeout
+    records, fault = _execute(
+        artifact_body, problem.function_name,
+        [test.parsed_inputs() for test in problem.tests], timeout=timeout,
     )
-
-    total = len(problem.tests)
-    crash = next((rec for rec in records if rec.get("kind") == "crash"), None)
-    if crash is not None:
-        failures = tuple(
-            {"index": i, "reason": "crash", "error": crash.get("error")}
-            for i in range(total)
-        )
-        return TestOutcome(total=total, passed=0, failures=failures, fault="Crash")
-
-    by_index = {rec["index"]: rec for rec in records if isinstance(rec.get("index"), int)}
     passed = 0
     failures: List[Dict[str, object]] = []
-    saw_error = False
-    for i, test in enumerate(problem.tests):
-        rec = by_index.get(i)
+    for i, (test, rec) in enumerate(zip(problem.tests, records)):
         if rec is None:
-            reason = "timeout" if timed_out else "not run"
+            reason = "timeout" if fault == "Timeout" else "not run"
             failures.append({"index": i, "reason": reason})
         elif "kind" in rec:
-            saw_error = True
-            failures.append(
-                {"index": i, "reason": "exception", "error": rec.get("error")}
-            )
+            reason = "crash" if rec["kind"] == "crash" else "exception"
+            failures.append({"index": i, "reason": reason, "error": rec.get("error")})
         elif _matches(rec.get("fingerprint"), test):
             passed += 1
         else:
@@ -340,17 +343,10 @@ def run_tests(
                     "expected": sandbox_server.clip(repr(test.parsed_expected())),
                 }
             )
-
-    if timed_out:
-        fault: Optional[str] = "Timeout"
-    elif returncode not in (0, None):
-        fault = "Crash"
-    elif saw_error:
+    if fault is None and any(f["reason"] == "exception" for f in failures):
         fault = "RuntimeError"
-    else:
-        fault = None
     return TestOutcome(
-        total=total, passed=passed, failures=tuple(failures), fault=fault
+        total=len(problem.tests), passed=passed, failures=tuple(failures), fault=fault
     )
 
 
@@ -377,10 +373,12 @@ def _probes(problem: Problem, trials: int, seed: int) -> List[List[object]]:
     return [[gen_value(rng, node) for node in nodes] for _ in range(trials)]
 
 
-def _tally(records: Sequence[Dict[str, object]]) -> Dict[str, int]:
-    counts = {"ok": 0, "pre": 0, "post": 0, "inv": 0, "fault": 0}
+def _tally(records: Sequence[Optional[Dict[str, object]]]) -> Dict[str, int]:
+    """How many inputs have a record of each kind, `ok` for a returned value;
+    a missing record, or one of an unknown kind, counts for nothing."""
+    counts = {"ok": 0, "pre": 0, "post": 0, "inv": 0, "fault": 0, "crash": 0}
     for rec in records:
-        kind = "ok" if "fingerprint" in rec else rec.get("kind")
+        kind = None if rec is None else "ok" if "fingerprint" in rec else rec.get("kind")
         if isinstance(kind, str) and kind in counts:
             counts[kind] += 1
     return counts
@@ -395,15 +393,15 @@ def check_contracts(
     timeout: float = 30.0,
 ) -> ContractReport:
     """Probe contract activity by calling the candidate on random inputs."""
-    records, returncode, timed_out = _run_child(
+    records, fault = _execute(
         artifact_body, problem.function_name, _probes(problem, trials, seed),
         timeout=timeout,
     )
     counts = _tally(records)
-    faults = counts["fault"]
-    if timed_out or returncode not in (0, None):
+    faults = counts["fault"] + counts["crash"]
+    if fault:
         # unattributed trouble counts against the candidate, not the contracts
-        faults += max(0, trials - sum(counts.values()))
+        faults += trials - sum(counts.values())
     return ContractReport(
         trials=trials,
         precondition_rejections=counts["pre"],
@@ -532,36 +530,32 @@ def vacuity_check(
     probes = [test.parsed_inputs() for test in problem.tests]
     probes += _probes(problem, random_trials, seed)
     details: List[Dict[str, object]] = []
-    rejected_count = 0
     for name, mutated_source in mutants:
-        records, _, timed_out = _run_child(
+        records, fault = _execute(
             mutated_source, problem.function_name, probes, timeout=timeout
         )
-        if any(rec.get("kind") == "crash" for rec in records):
+        counts = _tally(records)
+        if counts["crash"]:
             # mutation broke the module; a crash is not a contract rejection
             details.append(
                 {"name": name, "rejected": False, "rejections": 0, "crashes": 1}
             )
             continue
-        counts = _tally(records)
         rejections = counts["post"] + counts["inv"]
-        rejected = rejections > 0
-        if rejected:
-            rejected_count += 1
         details.append(
             {
                 "name": name,
-                "rejected": rejected,
+                "rejected": rejections > 0,
                 "rejections": rejections,
                 "pre_rejections": counts["pre"],
-                "crashes": counts["fault"] + (1 if timed_out else 0),
+                "crashes": counts["fault"] + (1 if fault == "Timeout" else 0),
             }
         )
 
-    verdict = "NonVacuous" if rejected_count > 0 else "Vacuous"
+    rejected = sum(1 for mutant in details if mutant["rejected"])
     return VacuityReport(
-        verdict=verdict,
+        verdict="NonVacuous" if rejected else "Vacuous",
         mutants_total=len(mutants),
-        mutants_rejected=rejected_count,
+        mutants_rejected=rejected,
         mutants=tuple(details),
     )

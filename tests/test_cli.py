@@ -57,7 +57,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("override", [
         "decoding.temperature=abc", 'temperature_grid=["a"]',
-        'decoding.n_samples="x"', 'python.timeout="x"'])
+        'decoding.n_samples="x"', 'python.timeout="x"', "lean.mathlib=False"])
     def test_non_numeric_override_is_a_config_error(self, capsys, tmp_path, override):
         code, out, err = run_cli(capsys, "run", "--config", MINI_CONFIG,
                                  "--runs-root", str(tmp_path / "runs"),

@@ -185,6 +185,18 @@ class TestRunConfig:
         ("lean.timeout", "null"),
         ("spec_checks.trials", "[]"),
         ("spec_checks.random_trials", '"10"'),
+        ("lean.mathlib", "False"),
+        ("spec_checks.contracts", "1"),
+        ("spec_checks.vacuity", "off"),
+        ("spec_checks.cross_feedback", '"true"'),
+        ("max_retries", "1.9"),
+        ("seed", "true"),
+        ("intersection_threshold", "2.9"),
+        ("models", "mock-alpha"),
+        ("lean.command", '"lake env lean"'),
+        ("lean.command", '["lake", 1]'),
+        ("k_ladder", "[1, 0]"),
+        ("k_ladder", "[1, 2.5]"),
     ])
     def test_non_numeric_value_refused_at_load(self, dotted, raw):
         base = {"corpus": "x", "models": ["m"], "strategies": ["code/direct"]}

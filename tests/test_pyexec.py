@@ -556,6 +556,52 @@ class TestJudgedInParent:
         assert outcome.failures[0]["reason"] == "mismatch"
 
 
+# a spec with no contracts that prints a postcondition record naming no input
+FORGED_POST_ADD = (
+    "def addInts(a, b):\n"
+    "    print('##REC## {\"kind\": \"post\", \"error\": \"x\"}', flush=True)\n"
+    "    return a + b\n"
+)
+
+
+class TestOneRecordPerInput:
+    """Tests, contract probes and vacuity mutants count each input's record."""
+
+    def test_record_naming_no_input_counts_for_nothing(self):
+        assert pyexec.run_tests(FORGED_POST_ADD, ADD).all_passed
+        report = pyexec.check_contracts(FORGED_POST_ADD, ADD, trials=10)
+        assert report.postcondition_violations == 0
+        vacuity = pyexec.vacuity_check(FORGED_POST_ADD, ADD, seed=3, random_trials=10)
+        assert (vacuity.verdict, vacuity.mutants_rejected) == ("Vacuous", 0)
+
+    def test_late_record_with_unhashable_kind_counts_for_nothing(self, monkeypatch):
+        # ADD's three passes, a postcondition record for each later input up
+        # to 12, then input 3's record again with a kind that is no string
+        posts = [{"index": i, "kind": "post", "error": "x"} for i in range(3, 13)]
+        relayed(monkeypatch, PASSING_ADD + posts + [{"index": 3, "kind": []}])
+        report = pyexec.check_contracts(GOOD_ADD, ADD, trials=10, seed=1)
+        assert (report.precondition_rejections, report.postcondition_violations,
+                report.invariant_violations, report.faults) == (0, 6, 0, 0)
+        vacuity = pyexec.vacuity_check(GOOD_ADD, ADD, seed=3, random_trials=10)
+        assert (vacuity.verdict, vacuity.mutants_rejected) == ("NonVacuous", 4)
+        assert {m["rejections"] for m in vacuity.mutants} == {9}
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a later call can "
+                       "still replace an earlier input's record")
+    def test_roadmap_item_1_late_forged_record_is_refused(self):
+        forged = "##REC## " + json.dumps(
+            {"index": 0, "repr": "3", "fingerprint": fingerprint(3)})
+        src = (
+            "calls = []\n"
+            "def addInts(a, b):\n"
+            "    calls.append(a)\n"
+            "    if len(calls) == 2:\n"
+            f"        print({forged!r}, flush=True)\n"
+            "    return 0 if len(calls) == 1 else a + b\n"
+        )
+        assert not pyexec.run_tests(src, ADD).all_passed
+
+
 @pytest.fixture
 def server_command(monkeypatch):
     """Point BRIDGE_PYTHON_CMD at another server, with no idle server left over."""
