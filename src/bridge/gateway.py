@@ -41,12 +41,15 @@ class DecodingParams:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ConfigError(f"temperature {self.temperature} outside [0, 2]")
-        if self.max_tokens < 1:
-            raise ConfigError(f"max_tokens must be positive, got {self.max_tokens}")
-        if self.n_samples < 1:
-            raise ConfigError(f"n_samples must be positive, got {self.n_samples}")
+        # named as the run config's decoding section names them
+        for name, ok, bound in (
+            ("temperature", 0.0 <= self.temperature <= 2.0, "a number in [0, 2]"),
+            ("max_tokens", self.max_tokens >= 1, "at least 1"),
+            ("n_samples", self.n_samples >= 1, "at least 1"),
+        ):
+            if not ok:
+                value = getattr(self, name)
+                raise ConfigError(f"bad value for decoding.{name}: {value}; expected {bound}")
 
 
 @dataclass(frozen=True)

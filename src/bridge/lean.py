@@ -11,9 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import re
-import shlex
 import shutil
 import subprocess
 import tempfile
@@ -269,15 +267,6 @@ def source_digest(source_text: str) -> str:
     return hashlib.sha256(source_text.encode("utf-8")).hexdigest()
 
 
-def _resolve_command(command: Optional[Sequence[str]]) -> List[str]:
-    if command:
-        return list(command)
-    env = os.environ.get("BRIDGE_LEAN_CMD")
-    if env:
-        return shlex.split(env)
-    return ["lean"]
-
-
 class LeanVerifier:
     """Scaffolds candidate files and checks them with Lean or transcripts."""
 
@@ -291,7 +280,7 @@ class LeanVerifier:
         workdir_factory: Optional[Callable[[], Path]] = None,
         runner: Callable = subprocess.run,
     ) -> None:
-        self.command = _resolve_command(command)
+        self.command = list(command) if command else ["lean"]
         self.mathlib = mathlib
         self.timeout = timeout
         self._workdir_factory = workdir_factory or (

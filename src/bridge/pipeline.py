@@ -32,8 +32,9 @@ import copy
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import MISSING, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -41,10 +42,11 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Uni
 from . import __version__, lean, metrics, proofs, pyexec
 from .corpus import Problem, load_manifest
 from .errors import ConfigError, NoArtifactError
+from .gateway import MODES as GATEWAY_MODES
 from .gateway import CompletionRecord, DecodingParams, ModelGateway, count_tokens
 from .lean import LeanVerifier, VerificationOutcome, VerifyStatus
 from .prompts import ExtractedArtifact, StrategyId, TemplateCatalog
-from .prompts import extract_artifacts, problem_values
+from .prompts import extract_artifacts, list_strategies, problem_values
 
 RUN_MODES = ("ParallelOnly", "RetryOnly", "ParallelPlusRetry")
 SUCCESS_PREDICATES = ("compile+guards", "compile-only")
@@ -52,49 +54,93 @@ SUCCESS_PREDICATES = ("compile+guards", "compile-only")
 _NO_ARTIFACT_MESSAGE = "no artifact could be extracted from the completion"
 
 
-def _merged(defaults: Mapping, given: Optional[Mapping], section: str) -> Dict:
-    out = dict(defaults)
-    if given is None:
-        return out
-    if not isinstance(given, Mapping):
-        raise ConfigError(f"{section} must be an object, got {given!r}")
-    for key, value in given.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown key {section}.{key}")
-        out[key] = value
-    return out
-
-
 def _section(**defaults) -> dataclasses.Field:
     """A config object whose keys, and their defaults, are the ones given."""
     return dataclasses.field(default_factory=lambda: dict(defaults))
 
 
-# each config value's JSON kind: int an integer, float a number, bool a
-# boolean, str a string and [kind] an array of that kind.  Values are checked,
-# never converted, so an int temperature keeps its bytes in the manifest and
-# the run id.  A top-level field's kind is named by its annotation text.
-_FIELD_KINDS = {"int": int, "str": str, "Tuple[str, ...]": [str],
-                "Tuple[int, ...]": [int], "Tuple[float, ...]": [float]}
-_SECTION_KINDS = {
-    "decoding": {"temperature": float, "max_tokens": int, "n_samples": int, "seed": int},
-    "python": {"timeout": float},
-    "lean": {"command": [str], "mathlib": bool, "timeout": float},
-    "spec_checks": {"contracts": bool, "vacuity": bool, "cross_feedback": bool,
-                    "trials": int, "random_trials": int},
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+               dict: "an object"}
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """What one config value must be.  kind is its JSON kind (int an integer,
+    float a number, dict an object, [kind] an array of that kind); among lists
+    the allowed values and least is the least value, both of each item for an
+    array; filled refuses an empty array.  Values are checked, never converted,
+    so an int temperature keeps its bytes in the manifest and the run id."""
+
+    kind: object
+    null: bool = False
+    among: Tuple = ()
+    least: Optional[int] = None
+    filled: bool = False
+
+    def check(self, name: str, value) -> None:
+        """Refuse a value that breaks the rule; true is no integer."""
+        if value is None and self.null:
+            return
+        kind, items = self.kind, [value]
+        if isinstance(kind, list):
+            kind, items = kind[0], value
+            if not isinstance(value, (list, tuple)) or (self.filled and not value):
+                _refuse(name, value, "a non-empty array" if self.filled else "an array")
+        for item in items:
+            if type(item) not in ((int, float) if kind is float else (kind,)):
+                _refuse(name, item, _KIND_NAMES[kind])
+            if self.among and item not in self.among:
+                _refuse(name, item, f"one of {json.dumps(self.among)}")
+            if self.least is not None and item < self.least:
+                _refuse(name, item, f"at least {self.least}")
+
+
+def _refuse(name: str, value, expected: str) -> None:
+    shown = json.dumps(value, default=repr)
+    raise ConfigError(f"bad value for {name}: {shown}; expected {expected}")
+
+
+# one rule for every config key, a section's keys dotted; RunConfig.from_obj
+# checks them all, in this order, so a section is an object before its keys
+_RULES = {
+    "corpus": _Rule(str),
+    "models": _Rule([str], filled=True),
+    "strategies": _Rule([str], among=tuple(s.key for s in list_strategies()), filled=True),
+    "problems": _Rule([str]),
+    "decoding": _Rule(dict),
+    "decoding.temperature": _Rule(float),
+    "decoding.max_tokens": _Rule(int),
+    "decoding.n_samples": _Rule(int),
+    "decoding.seed": _Rule(int, null=True),
+    "mode": _Rule(str, among=RUN_MODES),
+    "max_retries": _Rule(int, least=0),
+    "temperature_grid": _Rule([float]),
+    "parallelism": _Rule(int, least=1),
+    "seed": _Rule(int),
+    "gateway": _Rule(dict),
+    "gateway.mode": _Rule(str, among=GATEWAY_MODES),
+    "gateway.script": _Rule(str, null=True),
+    "gateway.archive_dir": _Rule(str, null=True),
+    "gateway.providers": _Rule(dict),
+    "lean": _Rule(dict),
+    "lean.command": _Rule([str], null=True),
+    "lean.mathlib": _Rule(bool),
+    "lean.timeout": _Rule(float),
+    "lean.transcripts": _Rule(str, null=True),
+    "python": _Rule(dict),
+    "python.timeout": _Rule(float),
+    "success": _Rule(dict),
+    "success.lean": _Rule(str, among=SUCCESS_PREDICATES),
+    "spec_checks": _Rule(dict),
+    "spec_checks.contracts": _Rule(bool),
+    "spec_checks.vacuity": _Rule(bool),
+    "spec_checks.cross_feedback": _Rule(bool),
+    "spec_checks.trials": _Rule(int),
+    "spec_checks.random_trials": _Rule(int),
+    "intersection_threshold": _Rule(int, least=1),
+    "runs_root": _Rule(str),
+    "k_ladder": _Rule([int], least=1, filled=True),
 }
-_NULLABLE = ("decoding.seed", "lean.command")
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
-
-
-def _check(name: str, value, kind) -> None:
-    """Refuse a value that is not of `kind` in JSON; true is no integer."""
-    if isinstance(kind, list) and isinstance(value, list):
-        for item in value:
-            _check(name, item, kind[0])
-    elif type(value) not in ((int, float) if kind is float else (kind,)):
-        expected = "an array" if isinstance(kind, list) else _KIND_NAMES[kind]
-        raise ConfigError(f"bad value for {name}: {value!r}; expected {expected}")
 
 
 @dataclass(frozen=True)
@@ -130,62 +176,39 @@ class RunConfig:
     def from_obj(
         cls, obj: Mapping, overrides: Optional[Mapping[str, str]] = None
     ) -> "RunConfig":
-        """Resolve a config object; dotted `overrides` apply to a copy of it."""
+        """Resolve a config object; dotted `overrides` apply to a copy of it.
+
+        A section's keys merge over its defaults; then every value, given or
+        default, must pass its rule in _RULES, and every point of a sweep its
+        DecodingParams, so a bad config is refused before anything runs.
+        """
         if overrides:
             obj = copy.deepcopy(dict(obj))
             for dotted, raw in overrides.items():
                 _apply_override(obj, dotted, raw)
-        fields = dataclasses.fields(cls)
-        known = {f.name for f in fields}
-        for key in obj:
-            if key not in known:
-                raise ConfigError(f"unknown config key {key}")
-        for key in ("corpus", "models", "strategies"):
-            if key not in obj:
-                raise ConfigError(f"config is missing required key {key}")
-
+        fields = {field.name: field for field in dataclasses.fields(cls)}
         given = {}
-        for field in fields:
-            if field.name not in obj:
-                continue
-            value = obj[field.name]
-            if field.type == "Mapping":
-                given[field.name] = _merged(field.default_factory(), value, field.name)
-                continue
-            _check(field.name, value, _FIELD_KINDS[field.type])
-            given[field.name] = tuple(value) if isinstance(value, list) else value
+        for key, value in obj.items():
+            if key not in fields:
+                raise ConfigError(f"unknown config key {key}")
+            section = fields[key].default_factory
+            if section is not MISSING and isinstance(value, dict):
+                defaults = section()
+                for name in value:
+                    if name not in defaults:
+                        raise ConfigError(f"unknown config key {key}.{name}")
+                value = {**defaults, **value}
+            given[key] = tuple(value) if isinstance(value, list) else value
+        for key, field in fields.items():
+            if key not in given and field.default is field.default_factory is MISSING:
+                raise ConfigError(f"config is missing required key {key}")
         config = cls(**given)
-
-        for section, kinds in _SECTION_KINDS.items():
-            for key, kind in kinds.items():
-                name, value = f"{section}.{key}", getattr(config, section)[key]
-                if not (value is None and name in _NULLABLE):
-                    _check(name, value, kind)
-        for raw in config.strategies:
-            try:
-                StrategyId.parse(raw)
-            except Exception as exc:
-                raise ConfigError(f"bad strategy key {raw!r}: {exc}") from exc
-        if config.mode not in RUN_MODES:
-            raise ConfigError(
-                f"unknown run mode {config.mode}; expected one of {RUN_MODES}"
-            )
-        if config.max_retries < 0:
-            raise ConfigError("max_retries must be non-negative")
-        if config.parallelism < 1:
-            raise ConfigError("parallelism must be at least 1")
-        if not all(k > 0 for k in config.k_ladder):
-            ladder = list(config.k_ladder)
-            raise ConfigError(f"bad value for k_ladder: {ladder}; expected positive integers")
-        if config.success["lean"] not in SUCCESS_PREDICATES:
-            raise ConfigError(
-                f"unknown success predicate {config.success['lean']}; "
-                f"expected one of {SUCCESS_PREDICATES}"
-            )
-        if not config.models:
-            raise ConfigError("config lists no models")
-        if not config.strategies:
-            raise ConfigError("config lists no strategies")
+        for name, rule in _RULES.items():
+            section, _, key = name.partition(".")
+            value = getattr(config, section)
+            rule.check(name, value[key] if key else value)
+        for _, point in config.points():
+            point.decoding_params()
         return config
 
     @classmethod
@@ -205,16 +228,23 @@ class RunConfig:
 
     def to_obj(self) -> Dict:
         out = dataclasses.asdict(self)
-        for key, value in out.items():
-            if isinstance(value, tuple):
-                out[key] = list(value)
-        return out
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in out.items()}
 
     @property
     def decoding_seed(self) -> int:
         """The sampling seed: decoding.seed, or the run's seed when that is null."""
         seed = self.decoding["seed"]
         return self.seed if seed is None else seed
+
+    def decoding_params(self) -> DecodingParams:
+        """A cell's first request; RetryOnly draws one sample per cell."""
+        dec = self.decoding
+        return DecodingParams(
+            temperature=float(dec["temperature"]),
+            max_tokens=dec["max_tokens"],
+            n_samples=1 if self.mode == "RetryOnly" else dec["n_samples"],
+            seed=self.decoding_seed,
+        )
 
     def points(self) -> List[Tuple[str, "RunConfig"]]:
         """(run-id suffix, config) of each run this config asks for.
@@ -238,38 +268,14 @@ def _apply_override(obj: Dict, dotted: str, raw: str) -> None:
     parts = dotted.split(".")
     node = obj
     for part in parts[:-1]:
-        nxt = node.get(part)
-        if nxt is None:
-            nxt = {}
-            node[part] = nxt
-        if not isinstance(nxt, dict):
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
             raise ConfigError(f"override {dotted} descends through non-object {part}")
-        node = nxt
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
     node[parts[-1]] = value
-
-
-def build_gateway(config: RunConfig) -> ModelGateway:
-    gw = config.gateway
-    return ModelGateway(
-        gw["mode"],
-        providers=gw["providers"] or None,
-        script=gw["script"],
-        archive_dir=gw["archive_dir"],
-    )
-
-
-def build_verifier(config: RunConfig) -> LeanVerifier:
-    ln = config.lean
-    return LeanVerifier(
-        command=ln["command"],
-        mathlib=ln["mathlib"],
-        timeout=float(ln["timeout"]),
-        transcripts=ln["transcripts"],
-    )
 
 
 def _digest_file(path) -> str:
@@ -385,23 +391,16 @@ class Orchestrator:
             raise ConfigError("a config with a temperature_grid runs through execute()")
         self.config = config
         self.catalog = TemplateCatalog()
-        self.gateway = gateway if gateway is not None else build_gateway(config)
-        self.verifier = verifier if verifier is not None else build_verifier(config)
-        # (backend, problem id, completion text) -> artifact and reusable verdict
-        self._judged: Dict[tuple, Tuple[Optional[ExtractedArtifact], Verdict]] = {}
+        self.gateway = gateway if gateway is not None else ModelGateway(**config.gateway)
+        self.verifier = verifier if verifier is not None else LeanVerifier(**config.lean)
+        # (backend, problem id, completion text) -> the artifact and a reusable
+        # verdict, or the Future of a worker's claim while it judges the text
+        self._judged: Dict[tuple, Union[Future, Tuple]] = {}
+        self._claims_lock = threading.Lock()
         # (body, pathway) -> the theorems of a proof chain's final artifact
         self._theorem_sets: Dict[tuple, Tuple[proofs.TheoremCandidate, ...]] = {}
-        dec = config.decoding
-        self._single_params = DecodingParams(
-            temperature=float(dec["temperature"]),
-            max_tokens=dec["max_tokens"],
-            n_samples=1,
-            seed=config.decoding_seed,
-        )
-        self._cell_params = dataclasses.replace(
-            self._single_params,
-            n_samples=1 if config.mode == "RetryOnly" else dec["n_samples"],
-        )
+        self._cell_params = config.decoding_params()
+        self._single_params = dataclasses.replace(self._cell_params, n_samples=1)
         lean_source = partial(extract_artifacts, domain="code")
         python_source = partial(extract_artifacts, domain="spec")
         guards = config.success["lean"] == "compile+guards"
@@ -427,14 +426,15 @@ class Orchestrator:
     # --- cell and chain execution ------------------------------------
 
     def cells(self) -> List[Tuple[Problem, StrategyId, str]]:
-        out = []
-        for problem in self.problems:
-            for raw in self.config.strategies:
-                strategy = StrategyId.parse(raw)
-                for model in self.config.models:
-                    out.append((problem, strategy, model))
-        out.sort(key=lambda cell: (cell[0].id, cell[1].key, cell[2]))
-        return out
+        # cells of one problem share completion texts, so workers that run
+        # side by side take different problems and rarely wait on a claim
+        problems = sorted(self.problems, key=lambda problem: problem.id)
+        return [
+            (problem, StrategyId.parse(raw), model)
+            for model in sorted(self.config.models)
+            for raw in sorted(self.config.strategies)
+            for problem in problems
+        ]
 
     def _run_cell(self, problem: Problem, strategy: StrategyId, model: str) -> List[Dict]:
         prompt = self.catalog.render(strategy, problem)
@@ -442,11 +442,6 @@ class Orchestrator:
         return [
             self._run_chain(problem, strategy, model, record) for record in records
         ]
-
-    def _max_rounds(self) -> int:
-        if self.config.mode == "ParallelOnly":
-            return 1
-        return 1 + self.config.max_retries
 
     def _run_chain(
         self,
@@ -456,7 +451,7 @@ class Orchestrator:
         first_record: CompletionRecord,
     ) -> Dict:
         _, _, after = self._backends[strategy.domain]
-        max_rounds = self._max_rounds()
+        max_rounds = 1 if self.config.mode == "ParallelOnly" else 1 + self.config.max_retries
         annotations: Dict[str, object] = {}
         rounds: List[Dict] = []
         record = first_record
@@ -513,26 +508,40 @@ class Orchestrator:
         This is the run's only verdict cache: the pair is kept for the rest
         of the run when the verdict is reusable, so a repeated text (another
         sample, model or strategy of the domain, a retry that repeats an
-        answer, or a repeated translation) is judged once.
+        answer, or a repeated translation) is judged once.  The first worker
+        to miss a key claims it and judges; a worker that finds the claim
+        waits for that judgement, reusable or not.  An exception in the
+        claimant reaches every waiter and drops the claim, and so does a
+        verdict that is not reusable, so a later request judges again.
         """
         key = (backend, problem.id, text)
-        judged = self._judged.get(key)
-        if judged is None:
-            extract, check, _ = self._backends[backend]
-            try:
-                artifact = extract(text)
-            except NoArtifactError:
-                judged = (None, _NO_ARTIFACT)
-            else:
-                judged = (artifact, check(artifact.body, problem))
-            if judged[1].reusable:
-                self._judged[key] = judged
+        with self._claims_lock:
+            judged = self._judged.get(key)
+            if judged is None:
+                claim = self._judged[key] = Future()
+        if isinstance(judged, Future):
+            return judged.result()
+        if judged is not None:
+            return judged
+        extract, check, _ = self._backends[backend]
+        try:
+            artifact = extract(text)
+            judged = (artifact, check(artifact.body, problem))
+        except NoArtifactError:
+            judged = (None, _NO_ARTIFACT)
+        except BaseException as exc:
+            del self._judged[key]
+            claim.set_exception(exc)
+            raise
+        if judged[1].reusable:
+            self._judged[key] = judged
+        else:
+            del self._judged[key]
+        claim.set_result(judged)
         return judged
 
     def _check_python(self, body: str, problem: Problem) -> Verdict:
-        outcome = pyexec.run_tests(
-            body, problem, timeout=float(self.config.python["timeout"])
-        )
+        outcome = pyexec.run_tests(body, problem, timeout=self.config.python["timeout"])
         # Timeout and Crash may be the host's fault
         reusable = outcome.fault not in ("Timeout", "Crash")
         errors = []
@@ -573,7 +582,7 @@ class Orchestrator:
             return
         checks = self.config.spec_checks
         body = _final_artifact(chain)["body"]
-        timeout = float(self.config.python["timeout"])
+        timeout = self.config.python["timeout"]
         if checks["contracts"]:
             report = pyexec.check_contracts(
                 body,
@@ -760,12 +769,8 @@ def write_report(run_dir: Path) -> Path:
         raise ConfigError(f"{run_dir} does not look like a run directory")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    chains = []
     with open(chains_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                chains.append(json.loads(line))
+        chains = [json.loads(line) for line in fh if line.strip()]
     config = manifest["config"]
     ladder = config.get("k_ladder") or metrics.DEFAULT_K_LADDER
     report_dir = Path(run_dir) / "report"

@@ -548,7 +548,8 @@ def vacuity_check(
                 "rejected": rejections > 0,
                 "rejections": rejections,
                 "pre_rejections": counts["pre"],
-                "crashes": counts["fault"] + (1 if fault == "Timeout" else 0),
+                # a Timeout or an error exit stopped the probes
+                "crashes": counts["fault"] + (1 if fault else 0),
             }
         )
 

@@ -57,7 +57,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("override", [
         "decoding.temperature=abc", 'temperature_grid=["a"]',
-        'decoding.n_samples="x"', 'python.timeout="x"', "lean.mathlib=False"])
+        'decoding.n_samples="x"', 'python.timeout="x"', "lean.mathlib=False",
+        "intersection_threshold=0", "temperature_grid=[0.7, 2.5]",
+        "gateway.providers=5", "lean.transcripts=5", "gateway.archive_dir=7"])
     def test_non_numeric_override_is_a_config_error(self, capsys, tmp_path, override):
         code, out, err = run_cli(capsys, "run", "--config", MINI_CONFIG,
                                  "--runs-root", str(tmp_path / "runs"),
@@ -162,12 +164,13 @@ class TestTemperatureGrid:
 
 
 class TestUnverifiedWarning:
-    def test_warns_when_no_lean_verdict(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BRIDGE_LEAN_CMD", str(tmp_path / "no-such-lean"))
+    def test_warns_when_no_lean_verdict(self, capsys, tmp_path):
+        command = json.dumps([str(tmp_path / "no-such-lean")])
         code, out, err = run_cli(
             capsys, "run", "--config", MINI_CONFIG,
             "--runs-root", str(tmp_path / "runs"),
-            "--override", "lean.transcripts=null")
+            "--override", "lean.transcripts=null",
+            "--override", f"lean.command={command}")
         assert code == 0, err
         assert out.startswith("run-") and "warning" not in out
         chains = [json.loads(line) for line in (

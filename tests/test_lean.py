@@ -244,11 +244,6 @@ class TestVerifierRealPath:
         outcome = v.check(project)
         assert outcome.status is VerifyStatus.TOOL_MISSING
 
-    def test_command_from_environment(self, monkeypatch):
-        monkeypatch.setenv("BRIDGE_LEAN_CMD", "lake env lean")
-        v = LeanVerifier()
-        assert v.command == ["lake", "env", "lean"]
-
 
 class TestVerifierTranscripts:
     def build(self, tmp_path, body, entry):

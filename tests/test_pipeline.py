@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -171,7 +172,7 @@ class TestRunConfig:
             RunConfig.from_obj({**base, "seed": "abc"})
         with pytest.raises(ConfigError, match="temperature_grid"):
             RunConfig.from_obj({**base, "temperature_grid": 0.5})
-        with pytest.raises(ConfigError, match="decoding must be an object"):
+        with pytest.raises(ConfigError, match="bad value for decoding: 5; expected an object"):
             RunConfig.from_obj({**base, "decoding": 5})
 
     @pytest.mark.parametrize("dotted, raw", [
@@ -197,11 +198,33 @@ class TestRunConfig:
         ("lean.command", '["lake", 1]'),
         ("k_ladder", "[1, 0]"),
         ("k_ladder", "[1, 2.5]"),
+        ("k_ladder", "[]"),
+        ("intersection_threshold", "0"),
+        ("decoding.temperature", "2.5"),
+        ("gateway.providers", "5"),
+        ("lean.transcripts", "5"),
+        ("gateway.archive_dir", "7"),
     ])
     def test_non_numeric_value_refused_at_load(self, dotted, raw):
         base = {"corpus": "x", "models": ["m"], "strategies": ["code/direct"]}
         with pytest.raises(ConfigError, match=re.escape(f"bad value for {dotted}")):
             RunConfig.from_obj(base, {dotted: raw})
+
+    def test_every_grid_point_is_checked_at_load(self):
+        base = {"corpus": "x", "models": ["m"], "strategies": ["code/direct"]}
+        with pytest.raises(ConfigError, match=re.escape(
+                "bad value for decoding.temperature: 2.5; expected a number in [0, 2]")):
+            RunConfig.from_obj(base, {"temperature_grid": "[0.7, 2.5]"})
+
+    def test_every_key_has_one_rule(self):
+        """A new key cannot skip the load check: the rule table names every
+        field and section key, and nothing else."""
+        keys = set()
+        for field in dataclasses.fields(RunConfig):
+            keys.add(field.name)
+            if field.default_factory is not dataclasses.MISSING:
+                keys.update(f"{field.name}.{key}" for key in field.default_factory())
+        assert set(pipeline._RULES) == keys
 
     def test_numbers_kept_as_given(self):
         base = {"corpus": "x", "models": ["m"], "strategies": ["code/direct"]}
@@ -710,6 +733,60 @@ class TestJudgementReuse:
             assert len(first) == 2
             assert first == second
             assert first is not second and first[0] is not second[0]
+
+    def test_many_workers_judge_a_repeated_text_once(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, pyexec, "run_tests")
+        config = add_config(tmp_path, parallelism=8, max_retries=0,
+                            models=[f"mock-{i}" for i in range(8)])
+        orch = Orchestrator(config, gateway=LadderGateway([GOOD_PY]),
+                            verifier=LeanVerifier(transcripts={}))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            chains = orch.run().chains
+        finally:
+            sys.setswitchinterval(interval)
+        assert [c["final_status"] for c in chains] == ["Success"] * 8
+        assert len(calls) == 1
+
+    def test_claimant_exception_reaches_every_waiter(self, tmp_path, monkeypatch):
+        looked, release = [], threading.Event()
+        calls = []
+
+        class Claims(dict):
+            """Releases the check once all four workers have looked up the key."""
+
+            def get(self, key, default=None):
+                looked.append(key)
+                if len(looked) == 4:
+                    release.set()
+                return super().get(key, default)
+
+        def failing(body, problem, **kwargs):
+            calls.append(body)
+            release.wait(5)
+            raise RuntimeError("sandbox lost")
+
+        monkeypatch.setattr(pyexec, "run_tests", failing)
+        orch = Orchestrator(add_config(tmp_path), gateway=LadderGateway([GOOD_PY]),
+                            verifier=LeanVerifier(transcripts={}))
+        orch._judged = Claims()
+        errors = []
+
+        def judge():
+            try:
+                orch._judge("spec", ADD, GOOD_PY)
+            except RuntimeError as exc:
+                errors.append(str(exc))
+
+        workers = [threading.Thread(target=judge) for _ in range(4)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in workers)
+        assert errors == ["sandbox lost"] * 4
+        assert len(calls) == 1 and orch._judged == {}
 
     def test_many_workers_write_the_same_bytes(self, tmp_path):
         source = build_source("import Std\n\n" + LEAN_BODY, ADD)

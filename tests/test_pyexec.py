@@ -931,6 +931,22 @@ class TestVacuity:
         assert by_name["return-plus-one"]["rejected"] is False
         assert by_name["return-plus-one"]["crashes"] > 0
 
+    def test_error_exit_counts_as_a_crash(self):
+        # the flipped comparison exits with an error, and no record, on its first probe
+        src = (
+            "import os\n\n"
+            "def addInts(a, b):\n"
+            "    if a > 10**7:\n"
+            "        os._exit(1)\n"
+            "    return a + b\n"
+        )
+        report = pyexec.vacuity_check(src, ADD, seed=3, random_trials=10)
+        by_name = {m["name"]: m for m in report.mutants}
+        for name in ("negate-comparisons", "mirror-comparisons"):
+            assert by_name[name] == {"name": name, "rejected": False, "rejections": 0,
+                                     "pre_rejections": 0, "crashes": 1}
+        assert report.verdict == "Vacuous"
+
     def test_self_violating_spec_is_inconsistent(self):
         src = (
             "import deal\n\n"
