@@ -67,15 +67,20 @@ _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a 
 class _Rule:
     """What one config value must be.  kind is its JSON kind (int an integer,
     float a number, dict an object, [kind] an array of that kind); among lists
-    the allowed values and least is the least value, both of each item for an
-    array; filled refuses an empty array.  Values are checked, never converted,
-    so an int temperature keeps its bytes in the manifest and the run id."""
+    the allowed values, least and most bound it, all per item for an array;
+    filled refuses an empty array; repeats lets an array repeat an item;
+    entries rules the keys of each entry of an object, a missing key as null.
+    Values are checked, never converted, so an int temperature keeps its bytes
+    in the manifest and the run id."""
 
     kind: object
     null: bool = False
     among: Tuple = ()
     least: Optional[int] = None
+    most: Optional[int] = None
     filled: bool = False
+    repeats: bool = False
+    entries: Optional[Mapping[str, "_Rule"]] = None
 
     def check(self, name: str, value) -> None:
         """Refuse a value that breaks the rule; true is no integer."""
@@ -93,6 +98,16 @@ class _Rule:
                 _refuse(name, item, f"one of {json.dumps(self.among)}")
             if self.least is not None and item < self.least:
                 _refuse(name, item, f"at least {self.least}")
+            if self.most is not None and item > self.most:
+                _refuse(name, item, f"at most {self.most}")
+        if isinstance(self.kind, list) and not self.repeats and len(set(items)) < len(items):
+            _refuse(name, value, "an array with no repeated item")
+        for key, entry in (value.items() if self.entries else ()):
+            _Rule(dict).check(f"{name}.{key}", entry)
+            for field in {**self.entries, **entry}:  # the rule's keys, then any other
+                if field not in self.entries:
+                    raise ConfigError(f"unknown config key {name}.{key}.{field}")
+                self.entries[field].check(f"{name}.{key}.{field}", entry.get(field))
 
 
 def _refuse(name: str, value, expected: str) -> None:
@@ -108,22 +123,23 @@ _RULES = {
     "strategies": _Rule([str], among=tuple(s.key for s in list_strategies()), filled=True),
     "problems": _Rule([str]),
     "decoding": _Rule(dict),
-    "decoding.temperature": _Rule(float),
-    "decoding.max_tokens": _Rule(int),
-    "decoding.n_samples": _Rule(int),
+    "decoding.temperature": _Rule(float, least=0, most=2),
+    "decoding.max_tokens": _Rule(int, least=1),
+    "decoding.n_samples": _Rule(int, least=1),
     "decoding.seed": _Rule(int, null=True),
     "mode": _Rule(str, among=RUN_MODES),
     "max_retries": _Rule(int, least=0),
-    "temperature_grid": _Rule([float]),
+    "temperature_grid": _Rule([float], least=0, most=2, repeats=True),
     "parallelism": _Rule(int, least=1),
     "seed": _Rule(int),
     "gateway": _Rule(dict),
     "gateway.mode": _Rule(str, among=GATEWAY_MODES),
     "gateway.script": _Rule(str, null=True),
     "gateway.archive_dir": _Rule(str, null=True),
-    "gateway.providers": _Rule(dict),
+    "gateway.providers": _Rule(dict, entries={"provider": _Rule(str), "endpoint": _Rule(str),
+                                              "batch_limit": _Rule(int, null=True, least=1)}),
     "lean": _Rule(dict),
-    "lean.command": _Rule([str], null=True),
+    "lean.command": _Rule([str], null=True, filled=True, repeats=True),
     "lean.mathlib": _Rule(bool),
     "lean.timeout": _Rule(float),
     "lean.transcripts": _Rule(str, null=True),
@@ -179,8 +195,8 @@ class RunConfig:
         """Resolve a config object; dotted `overrides` apply to a copy of it.
 
         A section's keys merge over its defaults; then every value, given or
-        default, must pass its rule in _RULES, and every point of a sweep its
-        DecodingParams, so a bad config is refused before anything runs.
+        default, must pass its rule in _RULES, so a bad config is refused
+        before anything runs.
         """
         if overrides:
             obj = copy.deepcopy(dict(obj))
@@ -207,8 +223,6 @@ class RunConfig:
             section, _, key = name.partition(".")
             value = getattr(config, section)
             rule.check(name, value[key] if key else value)
-        for _, point in config.points():
-            point.decoding_params()
         return config
 
     @classmethod

@@ -266,10 +266,11 @@ def _execute(
     """Call the candidate on each argument list in a fresh work directory:
     (each input's record or None, the run's fault).  No expected value is sent.
 
-    An input's record is the last one whose index names it; a `crash` record
+    An input's record is the one whose index names it; a `crash` record
     stands for every input; a record that names no input counts for nothing.
-    The fault is Timeout when the run timed out without a crash, Crash for a
-    crash record or an error exit, and otherwise None.
+    A second record for an input is Tampered, and leaves every input without
+    a record.  Otherwise the fault is Timeout when the run timed out without
+    a crash, Crash for a crash record or an error exit, and else None.
     """
     workdir = tempfile.mkdtemp(prefix="bridge-py-")
     try:
@@ -296,6 +297,8 @@ def _execute(
     for rec in raw:
         index = rec.get("index")
         if type(index) is int and 0 <= index < len(inputs):
+            if records[index] is not None:
+                return [None] * len(inputs), "Tampered"
             records[index] = rec
     if timed_out:
         return records, "Timeout"
@@ -548,7 +551,7 @@ def vacuity_check(
                 "rejected": rejections > 0,
                 "rejections": rejections,
                 "pre_rejections": counts["pre"],
-                # a Timeout or an error exit stopped the probes
+                # a Timeout, an error exit or a second record spoiled the probes
                 "crashes": counts["fault"] + (1 if fault else 0),
             }
         )

@@ -59,7 +59,11 @@ class TestRunCommand:
         "decoding.temperature=abc", 'temperature_grid=["a"]',
         'decoding.n_samples="x"', 'python.timeout="x"', "lean.mathlib=False",
         "intersection_threshold=0", "temperature_grid=[0.7, 2.5]",
-        "gateway.providers=5", "lean.transcripts=5", "gateway.archive_dir=7"])
+        "gateway.providers=5", "lean.transcripts=5", "gateway.archive_dir=7",
+        "decoding.max_tokens=0", "decoding.n_samples=0", 'models=["mock-alpha","mock-alpha"]',
+        "k_ladder=[1,1,5]", "lean.command=[]",
+        'gateway={"mode": "live", "providers": {"mock-alpha": 5}}',
+        'gateway={"mode": "live", "providers": {"mock-alpha": {"provider": "acme"}}}'])
     def test_non_numeric_override_is_a_config_error(self, capsys, tmp_path, override):
         code, out, err = run_cli(capsys, "run", "--config", MINI_CONFIG,
                                  "--runs-root", str(tmp_path / "runs"),

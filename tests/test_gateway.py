@@ -47,16 +47,6 @@ class TestDigest:
         assert a == b
 
 
-class TestDecodingParams:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            DecodingParams(temperature=2.5)
-        with pytest.raises(ConfigError):
-            DecodingParams(max_tokens=0)
-        with pytest.raises(ConfigError):
-            DecodingParams(n_samples=0)
-
-
 class TestCountTokens:
     def test_reported_takes_precedence(self):
         rec = CompletionRecord("m", "d" * 64, 0, "one two three", reported_tokens=99)

@@ -201,7 +201,23 @@ class TestRunConfig:
         ("k_ladder", "[]"),
         ("intersection_threshold", "0"),
         ("decoding.temperature", "2.5"),
+        ("decoding.temperature", "-0.1"),
+        ("decoding.max_tokens", "0"),
+        ("decoding.n_samples", "0"),
+        ("temperature_grid", "[0.7, 2.5]"),
         ("gateway.providers", "5"),
+        ("gateway.providers", '{"m": 5}'),
+        ("gateway.providers", '{"m": {"provider": "acme"}}'),
+        ("gateway.providers", '{"m": {"provider": 1, "endpoint": "https://x.test"}}'),
+        ("gateway.providers",
+         '{"m": {"provider": "acme", "endpoint": "https://x.test", "batch_limit": 0}}'),
+        ("gateway.providers",
+         '{"m": {"provider": "acme", "endpoint": "https://x.test", "batch_limit": "8"}}'),
+        ("models", '["m", "m"]'),
+        ("strategies", '["code/direct", "code/direct"]'),
+        ("problems", '["sqrt-floor", "sqrt-floor"]'),
+        ("k_ladder", "[1, 1, 5]"),
+        ("lean.command", "[]"),
         ("lean.transcripts", "5"),
         ("gateway.archive_dir", "7"),
     ])
@@ -213,8 +229,23 @@ class TestRunConfig:
     def test_every_grid_point_is_checked_at_load(self):
         base = {"corpus": "x", "models": ["m"], "strategies": ["code/direct"]}
         with pytest.raises(ConfigError, match=re.escape(
-                "bad value for decoding.temperature: 2.5; expected a number in [0, 2]")):
+                "bad value for temperature_grid: 2.5; expected at most 2")):
             RunConfig.from_obj(base, {"temperature_grid": "[0.7, 2.5]"})
+        # each grid point draws with its own seed, so a value may repeat
+        cfg = RunConfig.from_obj(base, {"temperature_grid": "[0.7, 0.7]"})
+        assert cfg.temperature_grid == (0.7, 0.7)
+
+    def test_provider_entries(self):
+        base = {"corpus": "x", "models": ["m"], "strategies": ["code/direct"]}
+        entry = {"provider": "acme", "endpoint": "https://x.test"}
+        for extra in ({}, {"batch_limit": 2}, {"batch_limit": None}):
+            cfg = RunConfig.from_obj(base, {"gateway.providers": json.dumps(
+                {"m": {**entry, **extra}})})
+            assert cfg.gateway["providers"] == {"m": {**entry, **extra}}
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown config key gateway.providers.m.model")):
+            RunConfig.from_obj(base, {"gateway.providers": json.dumps(
+                {"m": {**entry, "model": "x"}})})
 
     def test_every_key_has_one_rule(self):
         """A new key cannot skip the load check: the rule table names every

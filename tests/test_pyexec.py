@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -526,13 +527,14 @@ class TestJudgedInParent:
         assert "hello-ann-7f3" not in json.dumps(request)
 
     def test_record_with_unhashable_kind_is_ignored(self):
+        # the printed record and the server's own both name input 0: Tampered
         src = (
             "print('##REC## {\"index\": 0, \"kind\": []}')\n"
             "def addInts(a, b):\n"
             "    return a + b\n"
         )
         report = pyexec.check_contracts(src, ADD, trials=5, seed=1)
-        assert (report.faults, report.postcondition_violations) == (0, 0)
+        assert (report.faults, report.postcondition_violations) == (5, 0)
 
     def test_raising_repr_is_an_exception_not_a_crash(self):
         src = (
@@ -576,18 +578,19 @@ class TestOneRecordPerInput:
 
     def test_late_record_with_unhashable_kind_counts_for_nothing(self, monkeypatch):
         # ADD's three passes, a postcondition record for each later input up
-        # to 12, then input 3's record again with a kind that is no string
+        # to 12, then input 3's record again with a kind that is no string:
+        # a second record for input 3 is Tampered wherever input 3 exists
         posts = [{"index": i, "kind": "post", "error": "x"} for i in range(3, 13)]
         relayed(monkeypatch, PASSING_ADD + posts + [{"index": 3, "kind": []}])
         report = pyexec.check_contracts(GOOD_ADD, ADD, trials=10, seed=1)
         assert (report.precondition_rejections, report.postcondition_violations,
-                report.invariant_violations, report.faults) == (0, 6, 0, 0)
+                report.invariant_violations, report.faults) == (0, 0, 0, 10)
+        # the reference's 3 tests name no input 3, so it passes; every mutant
+        # probes 13 inputs, is Tampered, and is rejected by nothing
         vacuity = pyexec.vacuity_check(GOOD_ADD, ADD, seed=3, random_trials=10)
-        assert (vacuity.verdict, vacuity.mutants_rejected) == ("NonVacuous", 4)
-        assert {m["rejections"] for m in vacuity.mutants} == {9}
+        assert (vacuity.verdict, vacuity.mutants_rejected) == ("Vacuous", 0)
+        assert {(m["rejections"], m["crashes"]) for m in vacuity.mutants} == {(0, 1)}
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a later call can "
-                       "still replace an earlier input's record")
     def test_roadmap_item_1_late_forged_record_is_refused(self):
         forged = "##REC## " + json.dumps(
             {"index": 0, "repr": "3", "fingerprint": fingerprint(3)})
@@ -599,7 +602,21 @@ class TestOneRecordPerInput:
             f"        print({forged!r}, flush=True)\n"
             "    return 0 if len(calls) == 1 else a + b\n"
         )
-        assert not pyexec.run_tests(src, ADD).all_passed
+        outcome = pyexec.run_tests(src, ADD)
+        assert (outcome.passed, outcome.fault) == (0, "Tampered")
+        assert [f["reason"] for f in outcome.failures] == ["not run"] * 3
+
+
+class TestReferenceBank:
+    def test_python_references_pass_and_wrong_variants_fail(self, corpus):
+        """tools/make_fixtures.py's check: every PY_GOOD reference passes its
+        corpus tests, and ywrong1 and ywrong2 each fail one."""
+        path = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+        spec = importlib.util.spec_from_file_location("make_fixtures", path)
+        make_fixtures = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_fixtures)
+        assert sorted(make_fixtures.PY_GOOD) == sorted(p.id for p in corpus)
+        make_fixtures.check_python_bank(corpus)
 
 
 @pytest.fixture
