@@ -10,7 +10,10 @@ of (model_id, prompt, temperature, max_tokens, seed), so identical requests
 hit identical archive entries regardless of mode. A mock script is indexed
 once into the same table a replay archive fills, so mock and replay share
 one lookup: the first n records stored for the digest, or `ReplayMissError`.
-The gateway never reads the prompt beyond digesting it.
+A replay gateway fills that table with one pass over its archive directory
+at its first request.  The gateway never reads the prompt beyond digesting
+it.  Every mode but live answers a request by its digest alone: the same
+digest always gets the same records, which `answers_by_digest` states.
 """
 
 from __future__ import annotations
@@ -201,6 +204,7 @@ class ModelGateway:
         self._locks_guard = threading.Lock()
         # archive entries by digest: files read or written, or the mock script
         self._archive: Dict[str, dict] = {}
+        self._archive_read = False  # whether a replay gateway has read every file
         if mode == "mock":
             if script is None:
                 raise ConfigError("mock mode requires a script")
@@ -214,6 +218,13 @@ class ModelGateway:
             raise ConfigError(f"{mode} mode requires an archive directory")
 
     # -- public API ----------------------------------------------------------
+
+    @property
+    def answers_by_digest(self) -> bool:
+        """Whether a repeated request gets the records it got before: true in
+        mock and replay, and in record, which serves a digest it has recorded
+        from its archive; a live provider draws afresh each time."""
+        return self.mode != "live"
 
     def complete_n(
         self, model_id: str, prompt: str, params: DecodingParams
@@ -236,12 +247,19 @@ class ModelGateway:
     def _load_archive(self, digest: str) -> Optional[dict]:
         """The archive entry for a digest, read from disk at most once.
 
+        A replay gateway reads every file of its archive at its first
+        request; a digest still missing after that is tried as its own file.
         Misses are not cached, so an entry recorded later is still found.
         A mock gateway holds its whole table and never reads the disk.
         """
         entry = self._archive.get(digest)
         if entry is not None or self.mode == "mock":
             return entry
+        if self.mode == "replay" and not self._archive_read:
+            self._read_archive()
+            entry = self._archive.get(digest)
+            if entry is not None:
+                return entry
         try:
             text = self._archive_path(digest).read_text(encoding="utf-8")
         except FileNotFoundError:
@@ -249,6 +267,28 @@ class ModelGateway:
         entry = json.loads(text)
         self._archive[digest] = entry
         return entry
+
+    def _read_archive(self) -> None:
+        """Read every entry file of the archive directory, once per gateway.
+
+        One pass by one worker replaces a read per request, each of which
+        hands the interpreter lock to another worker.  A file that does not
+        read or parse is left to the single-file read, which fails as it
+        always did if that digest is ever requested.
+        """
+        with self._locks_guard:
+            if self._archive_read:
+                return
+            entries = {}
+            for path in self.archive_dir.glob("*.json"):
+                try:
+                    entries[path.stem] = json.loads(path.read_text(encoding="utf-8"))
+                except (OSError, ValueError):
+                    continue
+            # published at once, so no worker runs on a half-read archive
+            # while this one waits on the disk
+            self._archive.update(entries)
+            self._archive_read = True
 
     def _stored(self, model_id: str, digest: str, n: int) -> List[dict]:
         """The first n stored records for a digest; too few is a miss."""

@@ -24,6 +24,13 @@ Serialized chain schema (one JSON object per line in chains.jsonl):
 final_status is Success, Failure, or NoArtifact (the last round yielded
 nothing evaluable).  Output trees are deterministic: no timestamps, no
 machine identifiers, canonical ordering throughout.
+
+A run does each distinct piece of work once.  A completion text is judged
+once per (domain, problem, text), and its artifact and outcome dicts are
+built with its verdict.  When the gateway answers by digest, the rounds
+after a failed round depend only on (domain, problem, model, failed text,
+round number), so they are run once and every chain that reaches them
+holds the same round objects; chains.jsonl encodes each of those once.
 """
 
 from __future__ import annotations
@@ -32,18 +39,18 @@ import copy
 import dataclasses
 import hashlib
 import json
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import MISSING, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import TypeVar, Union
 
 from . import __version__, lean, metrics, proofs, pyexec
 from .corpus import Problem, load_manifest
 from .errors import ConfigError, NoArtifactError
 from .gateway import MODES as GATEWAY_MODES
-from .gateway import CompletionRecord, DecodingParams, ModelGateway, count_tokens
+from .gateway import CompletionRecord, DecodingParams, ModelGateway
 from .lean import LeanVerifier, VerificationOutcome, VerifyStatus
 from .prompts import ExtractedArtifact, StrategyId, TemplateCatalog
 from .prompts import extract_artifacts, list_strategies, problem_values
@@ -52,6 +59,8 @@ RUN_MODES = ("ParallelOnly", "RetryOnly", "ParallelPlusRetry")
 SUCCESS_PREDICATES = ("compile+guards", "compile-only")
 
 _NO_ARTIFACT_MESSAGE = "no artifact could be extracted from the completion"
+
+T = TypeVar("T")
 
 
 def _section(**defaults) -> dataclasses.Field:
@@ -67,8 +76,9 @@ _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a 
 class _Rule:
     """What one config value must be.  kind is its JSON kind (int an integer,
     float a number, dict an object, [kind] an array of that kind); among lists
-    the allowed values, least and most bound it, all per item for an array;
-    filled refuses an empty array; repeats lets an array repeat an item;
+    the allowed values, least and most bound it and it must exceed above, all
+    per item for an array; filled refuses an empty array or string; repeats
+    lets an array repeat an item;
     entries rules the keys of each entry of an object, a missing key as null.
     Values are checked, never converted, so an int temperature keeps its bytes
     in the manifest and the run id."""
@@ -78,6 +88,7 @@ class _Rule:
     among: Tuple = ()
     least: Optional[int] = None
     most: Optional[int] = None
+    above: Optional[int] = None
     filled: bool = False
     repeats: bool = False
     entries: Optional[Mapping[str, "_Rule"]] = None
@@ -91,6 +102,8 @@ class _Rule:
             kind, items = kind[0], value
             if not isinstance(value, (list, tuple)) or (self.filled and not value):
                 _refuse(name, value, "a non-empty array" if self.filled else "an array")
+        elif self.filled and value == "":
+            _refuse(name, value, "a non-empty string")
         for item in items:
             if type(item) not in ((int, float) if kind is float else (kind,)):
                 _refuse(name, item, _KIND_NAMES[kind])
@@ -100,6 +113,8 @@ class _Rule:
                 _refuse(name, item, f"at least {self.least}")
             if self.most is not None and item > self.most:
                 _refuse(name, item, f"at most {self.most}")
+            if self.above is not None and item <= self.above:
+                _refuse(name, item, f"more than {self.above}")
         if isinstance(self.kind, list) and not self.repeats and len(set(items)) < len(items):
             _refuse(name, value, "an array with no repeated item")
         for key, entry in (value.items() if self.entries else ()):
@@ -136,23 +151,26 @@ _RULES = {
     "gateway.mode": _Rule(str, among=GATEWAY_MODES),
     "gateway.script": _Rule(str, null=True),
     "gateway.archive_dir": _Rule(str, null=True),
-    "gateway.providers": _Rule(dict, entries={"provider": _Rule(str), "endpoint": _Rule(str),
-                                              "batch_limit": _Rule(int, null=True, least=1)}),
+    "gateway.providers": _Rule(dict, entries={
+        "provider": _Rule(str, filled=True),
+        "endpoint": _Rule(str, filled=True),
+        "batch_limit": _Rule(int, null=True, least=1),
+    }),
     "lean": _Rule(dict),
     "lean.command": _Rule([str], null=True, filled=True, repeats=True),
     "lean.mathlib": _Rule(bool),
-    "lean.timeout": _Rule(float),
+    "lean.timeout": _Rule(float, above=0),
     "lean.transcripts": _Rule(str, null=True),
     "python": _Rule(dict),
-    "python.timeout": _Rule(float),
+    "python.timeout": _Rule(float, above=0),
     "success": _Rule(dict),
     "success.lean": _Rule(str, among=SUCCESS_PREDICATES),
     "spec_checks": _Rule(dict),
     "spec_checks.contracts": _Rule(bool),
     "spec_checks.vacuity": _Rule(bool),
     "spec_checks.cross_feedback": _Rule(bool),
-    "spec_checks.trials": _Rule(int),
-    "spec_checks.random_trials": _Rule(int),
+    "spec_checks.trials": _Rule(int, least=1),
+    "spec_checks.random_trials": _Rule(int, least=0),
     "intersection_threshold": _Rule(int, least=1),
     "runs_root": _Rule(str),
     "k_ladder": _Rule([int], least=1, filled=True),
@@ -335,14 +353,16 @@ def _claim_run_dir(root: Path, run_id: str) -> Path:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A finished run.  Its chains are read-only: chains that reach the same
+    judgement or the same retry rounds hold the same dicts."""
+
     run_id: str
     run_dir: Path
     chains: Tuple[Dict, ...]
     manifest: Dict
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One backend's judgement of one artifact.
 
     stop means the backend could not judge at all (no Lean toolchain or
@@ -361,6 +381,28 @@ class Verdict:
 _NO_ARTIFACT = Verdict(False, False, (_NO_ARTIFACT_MESSAGE,), None, reusable=True)
 
 
+class _Judgement(NamedTuple):
+    """A completion text's verdict, with what every round of that text
+    writes: its artifact's and outcome's dicts and the text's word count."""
+
+    artifact: Optional[Dict]
+    verdict: Verdict
+    outcome: Optional[Dict]
+    words: int
+
+
+class _Rounds(NamedTuple):
+    """A chain from one round on: its rounds, its final status, the
+    annotation flags they set, and whether every verdict in them is
+    reusable.  cross_feedback, when set, belongs to the round before."""
+
+    rounds: Tuple[Dict, ...]
+    status: str
+    flags: Mapping[str, bool]
+    reusable: bool
+    cross_feedback: Optional[Dict] = None
+
+
 def _completion_obj(record: CompletionRecord) -> Dict:
     return {
         "text": record.text,
@@ -369,10 +411,40 @@ def _completion_obj(record: CompletionRecord) -> Dict:
     }
 
 
-def _artifact_obj(artifact: Optional[ExtractedArtifact]) -> Optional[Dict]:
-    if artifact is None:
-        return None
+def _artifact_obj(artifact: ExtractedArtifact) -> Dict:
     return {"kind": artifact.kind, "body": artifact.body, "span": list(artifact.span)}
+
+
+def _round_obj(round_no: int, record: CompletionRecord, judged: _Judgement) -> Dict:
+    tokens = record.reported_tokens
+    return {
+        "round": round_no,
+        "prompt_digest": record.prompt_digest,
+        "completion": _completion_obj(record),
+        "artifact": judged.artifact,
+        "words": judged.words,
+        "tokens": metrics.estimate_tokens(judged.words) if tokens is None else tokens,
+        "outcome": judged.outcome,
+    }
+
+
+# the bytes json.dumps(obj, sort_keys=True, separators=(",", ":")) gives,
+# without building an encoder per call
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _chain_line(chain: Dict, encode_round: Callable[[Dict], str]) -> str:
+    """The chain's canonical JSON, its rounds encoded by encode_round and
+    spliced in where "rounds" sorts among its keys."""
+    keys = sorted(chain)
+    at = keys.index("rounds")
+    rounds = '"rounds":[' + ",".join(map(encode_round, chain["rounds"])) + "]"
+    parts = [
+        _canonical({key: chain[key] for key in keys[:at]})[1:-1],
+        rounds,
+        _canonical({key: chain[key] for key in keys[at + 1:]})[1:-1],
+    ]
+    return "{" + ",".join(part for part in parts if part) + "}"
 
 
 def _diagnostic_lines(outcome: VerificationOutcome, fallback: str) -> List[str]:
@@ -407,14 +479,21 @@ class Orchestrator:
         self.catalog = TemplateCatalog()
         self.gateway = gateway if gateway is not None else ModelGateway(**config.gateway)
         self.verifier = verifier if verifier is not None else LeanVerifier(**config.lean)
-        # (backend, problem id, completion text) -> the artifact and a reusable
-        # verdict, or the Future of a worker's claim while it judges the text
-        self._judged: Dict[tuple, Union[Future, Tuple]] = {}
-        self._claims_lock = threading.Lock()
+        # (backend, problem id, completion text) -> its reusable judgement, or
+        # the Future of a worker's claim while it judges the text
+        self._judged: Dict[tuple, Union[Future, _Judgement]] = {}
+        # rounds shared when the gateway answers by digest, each a claim's
+        # Future while it is made: (domain, problem id, model, failed text,
+        # round) -> the rounds after that round, and (domain, problem id,
+        # model, first record's digest, text, tokens, latency) -> a chain's rounds
+        self._tails: Dict[tuple, Union[Future, _Rounds]] = {}
+        self._firsts: Dict[tuple, Union[Future, _Rounds]] = {}
+        self._shares_tails = getattr(self.gateway, "answers_by_digest", False)
         # (body, pathway) -> the theorems of a proof chain's final artifact
         self._theorem_sets: Dict[tuple, Tuple[proofs.TheoremCandidate, ...]] = {}
         self._cell_params = config.decoding_params()
         self._single_params = dataclasses.replace(self._cell_params, n_samples=1)
+        self._max_rounds = 1 if config.mode == "ParallelOnly" else 1 + config.max_retries
         lean_source = partial(extract_artifacts, domain="code")
         python_source = partial(extract_artifacts, domain="spec")
         guards = config.success["lean"] == "compile+guards"
@@ -464,95 +543,145 @@ class Orchestrator:
         model: str,
         first_record: CompletionRecord,
     ) -> Dict:
-        _, _, after = self._backends[strategy.domain]
-        max_rounds = 1 if self.config.mode == "ParallelOnly" else 1 + self.config.max_retries
-        annotations: Dict[str, object] = {}
-        rounds: List[Dict] = []
-        record = first_record
-        final_status = "Failure"
-
-        for round_no in range(1, max_rounds + 1):
-            artifact, verdict = self._judge(strategy.domain, problem, record.text)
-            words, tokens = count_tokens(record)
-            round_obj: Dict[str, object] = {
-                "round": round_no,
-                "prompt_digest": record.prompt_digest,
-                "completion": _completion_obj(record),
-                "artifact": _artifact_obj(artifact),
-                "words": words,
-                "tokens": tokens,
-                "outcome": verdict.outcome and verdict.outcome.to_obj(),
-            }
-            if verdict.stop:
-                annotations["lean_unavailable"] = True
-            rounds.append(round_obj)
-
-            if verdict.success:
-                final_status = "Success"
-                break
-            if verdict.stop or round_no == max_rounds:
-                final_status = "Failure" if artifact is not None else "NoArtifact"
-                break
-
-            retry_prompt = self._retry_prompt(
-                problem, strategy, model, round_obj, verdict.errors, round_no, annotations
-            )
-            record = self.gateway.complete_n(model, retry_prompt, self._single_params)[0]
-
+        domain = strategy.domain
+        _, _, after = self._backends[domain]
+        judged = self._judge(domain, problem, first_record.text)
+        key = (domain, problem.id, model, first_record.prompt_digest, first_record.text,
+               first_record.reported_tokens, first_record.latency)
+        make = partial(self._rounds_from, domain, problem, model, 1, first_record, judged)
+        chain_rounds = self._shared(self._firsts, key, make)
         chain = {
             "problem": problem.id,
             "strategy": strategy.key,
             "model": model,
             "sample_index": first_record.sample_index,
-            "final_status": final_status,
-            "rounds": rounds,
-            "annotations": annotations,
+            "final_status": chain_rounds.status,
+            "rounds": list(chain_rounds.rounds),
+            "annotations": dict(chain_rounds.flags),
         }
         if after is not None:
             after(chain, problem, strategy)
         return chain
 
+    def _shared(self, table: Dict, key: tuple, make: Callable[[], _Rounds]) -> _Rounds:
+        """Rounds that every chain asking by this key would make alike.
+
+        When the gateway answers by digest they are made once, by _claim,
+        and kept while every verdict in them is reusable; chains that reach
+        them hold the same round objects.  A live gateway draws afresh for
+        each request, so there each chain makes its own.
+        """
+        if not self._shares_tails:
+            return make()
+        return self._claim(table, key, make, lambda rounds: rounds.reusable)
+
+    def _rounds_from(self, domain: str, problem: Problem, model: str, round_no: int,
+                     record: CompletionRecord, judged: _Judgement) -> _Rounds:
+        """The chain from this round on: the round, then, if it failed with
+        budget left, a retry with its errors and the rounds after that."""
+        round_obj = _round_obj(round_no, record, judged)
+        verdict = judged.verdict
+        flags = {"lean_unavailable": True} if verdict.stop else {}
+        if verdict.success:
+            return _Rounds((round_obj,), "Success", flags, verdict.reusable)
+        if verdict.stop or round_no == self._max_rounds:
+            status = "Failure" if judged.artifact is not None else "NoArtifact"
+            return _Rounds((round_obj,), status, flags, verdict.reusable)
+        retry = partial(self._retry, domain, problem, model, round_no, record.text, judged)
+        if verdict.reusable:
+            key = (domain, problem.id, model, record.text, round_no)
+            after = self._shared(self._tails, key, retry)
+        else:  # a verdict that is not kept may differ next time, and so its retry
+            after = retry()
+        if after.cross_feedback is not None:
+            round_obj["cross_feedback"] = after.cross_feedback
+        return _Rounds((round_obj,) + after.rounds, after.status, {**flags, **after.flags},
+                       verdict.reusable and after.reusable)
+
+    def _retry(self, domain: str, problem: Problem, model: str, round_no: int, text: str,
+               judged: _Judgement) -> _Rounds:
+        """The rounds after a failed round, and its cross_feedback record.
+
+        The retry prompt and the cross-feedback request depend only on
+        (domain, problem, model, failed text, round number), the key these
+        rounds are shared by.
+        """
+        flags: Dict[str, bool] = {}
+        lean_feedback, cross_feedback, reusable = None, None, True
+        if domain == "spec" and self.config.spec_checks["cross_feedback"] and judged.artifact:
+            lean_feedback, cross_feedback, reusable = self._lean_feedback(
+                problem, model, judged.artifact["body"], flags
+            )
+        retry_prompt = self.catalog.render_retry(
+            judged.artifact["body"] if judged.artifact else text,
+            judged.verdict.errors,
+            round_index=round_no,
+            max_rounds=self.config.max_retries,
+            lean_feedback=lean_feedback,
+        )
+        record = self.gateway.complete_n(model, retry_prompt, self._single_params)[0]
+        next_judged = self._judge(domain, problem, record.text)
+        rest = self._rounds_from(domain, problem, model, round_no + 1, record, next_judged)
+        return _Rounds(rest.rounds, rest.status, {**flags, **rest.flags},
+                       reusable and rest.reusable, cross_feedback)
+
     # --- backends ------------------------------------------------------
 
-    def _judge(
-        self, backend: str, problem: Problem, text: str
-    ) -> Tuple[Optional[ExtractedArtifact], Verdict]:
-        """The artifact extracted from a completion text and its verdict.
+    def _claim(
+        self, table: Dict, key: tuple, make: Callable[[], T], keep: Callable[[T], bool]
+    ) -> T:
+        """table[key], made by the first worker that misses it.
 
-        This is the run's only verdict cache: the pair is kept for the rest
-        of the run when the verdict is reusable, so a repeated text (another
-        sample, model or strategy of the domain, a retry that repeats an
-        answer, or a repeated translation) is judged once.  The first worker
-        to miss a key claims it and judges; a worker that finds the claim
-        waits for that judgement, reusable or not.  An exception in the
+        That worker claims the key and makes the value; a worker that finds
+        the claim waits for that value, kept or not.  An exception in the
         claimant reaches every waiter and drops the claim, and so does a
-        verdict that is not reusable, so a later request judges again.
+        value that keep refuses, so a later request makes it again.  The
+        claim is a dict.setdefault, which is atomic, so of two workers that
+        miss at once exactly one claims; a lock around it made the workers
+        queue on each other at every lookup, a thread switch each time.
         """
-        key = (backend, problem.id, text)
-        with self._claims_lock:
-            judged = self._judged.get(key)
-            if judged is None:
-                claim = self._judged[key] = Future()
-        if isinstance(judged, Future):
-            return judged.result()
-        if judged is not None:
-            return judged
-        extract, check, _ = self._backends[backend]
+        claim = None
+        found = table.get(key)
+        if found is None:
+            claim = Future()
+            found = table.setdefault(key, claim)
+        if found is not claim:
+            return found.result() if isinstance(found, Future) else found
         try:
-            artifact = extract(text)
-            judged = (artifact, check(artifact.body, problem))
-        except NoArtifactError:
-            judged = (None, _NO_ARTIFACT)
+            value = make()
         except BaseException as exc:
-            del self._judged[key]
+            del table[key]
             claim.set_exception(exc)
             raise
-        if judged[1].reusable:
-            self._judged[key] = judged
+        if keep(value):
+            table[key] = value
         else:
-            del self._judged[key]
-        claim.set_result(judged)
-        return judged
+            del table[key]
+        claim.set_result(value)
+        return value
+
+    def _judge(self, backend: str, problem: Problem, text: str) -> _Judgement:
+        """The judgement of a completion text: its artifact and verdict.
+
+        This is the run's only verdict cache: a judgement is kept for the
+        rest of the run when its verdict is reusable, so a repeated text
+        (another sample, model or strategy of the domain, a retry that
+        repeats an answer, or a repeated translation) is judged once, and
+        every round of it holds the same artifact and outcome dicts.
+        """
+        make = partial(self._judgement, backend, problem, text)
+        return self._claim(self._judged, (backend, problem.id, text), make,
+                           lambda judged: judged.verdict.reusable)
+
+    def _judgement(self, backend: str, problem: Problem, text: str) -> _Judgement:
+        extract, check, _ = self._backends[backend]
+        words = len(text.split())
+        try:
+            artifact = extract(text)
+        except NoArtifactError:
+            return _Judgement(None, _NO_ARTIFACT, None, words)
+        verdict = check(artifact.body, problem)
+        return _Judgement(_artifact_obj(artifact), verdict, verdict.outcome.to_obj(), words)
 
     def _check_python(self, body: str, problem: Problem) -> Verdict:
         outcome = pyexec.run_tests(body, problem, timeout=self.config.python["timeout"])
@@ -631,56 +760,34 @@ class Orchestrator:
 
     # --- retries ---------------------------------------------------------
 
-    def _retry_prompt(
-        self,
-        problem: Problem,
-        strategy: StrategyId,
-        model: str,
-        round_obj: Dict,
-        errors: Sequence[str],
-        round_no: int,
-        annotations: Dict[str, object],
-    ) -> str:
-        artifact = round_obj.get("artifact")
-        previous = artifact["body"] if artifact else round_obj["completion"]["text"]
-        lean_feedback = None
-        if (
-            strategy.domain == "spec"
-            and self.config.spec_checks["cross_feedback"]
-            and artifact is not None
-        ):
-            lean_feedback = self._lean_feedback(problem, model, round_obj, annotations)
-        return self.catalog.render_retry(
-            previous,
-            errors,
-            round_index=round_no,
-            max_rounds=self.config.max_retries,
-            lean_feedback=lean_feedback,
-        )
-
     def _lean_feedback(
-        self, problem: Problem, model: str, round_obj: Dict, annotations: Dict
-    ) -> Optional[str]:
-        """Second-stage translation check; None, with an annotation saying
-        why, when Lean cannot weigh in."""
+        self, problem: Problem, model: str, body: str, flags: Dict[str, bool]
+    ) -> Tuple[Optional[str], Optional[Dict], bool]:
+        """Second-stage translation check: the feedback for the retry prompt,
+        the failed round's cross_feedback record, and whether the
+        translation's verdict is reusable.  The feedback is None, with a flag
+        saying why, when Lean cannot weigh in."""
         values = dict(problem_values(problem))
-        values["python_source"] = round_obj["artifact"]["body"]
+        values["python_source"] = body
         prompt = self.catalog.render_feedback("lean-translation", values)
         record = self.gateway.complete_n(model, prompt, self._single_params)[0]
-        artifact, verdict = self._judge("translation", problem, record.text)
-        if artifact is None:
-            annotations["cross_feedback_no_artifact"] = True
-            return None
-        round_obj["cross_feedback"] = {
+        judged = self._judge("translation", problem, record.text)
+        reusable = judged.verdict.reusable
+        if judged.artifact is None:
+            flags["cross_feedback_no_artifact"] = True
+            return None, None, reusable
+        # each retry's record is its own; a shared tail makes it once
+        cross_feedback = {
             "prompt_digest": record.prompt_digest,
             "completion": _completion_obj(record),
-            "artifact": _artifact_obj(artifact),
-            "outcome": verdict.outcome.to_obj(),
+            "artifact": judged.artifact,
+            "outcome": judged.verdict.outcome.to_obj(),
         }
-        if verdict.stop:
-            annotations["lean_unavailable"] = True
-            return None
-        return "\n".join(_diagnostic_lines(verdict.outcome, "Lean verification status:"))
+        if judged.verdict.stop:
+            flags["lean_unavailable"] = True
+            return None, cross_feedback, reusable
+        lines = _diagnostic_lines(judged.verdict.outcome, "Lean verification status:")
+        return "\n".join(lines), cross_feedback, reusable
 
     # --- run assembly --------------------------------------------------
 
@@ -716,9 +823,18 @@ class Orchestrator:
         with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        # chains that share rounds share their objects, each encoded once
+        encoded: Dict[int, str] = {}
+
+        def encode_round(round_obj: Dict) -> str:
+            text = encoded.get(id(round_obj))
+            if text is None:
+                text = encoded[id(round_obj)] = _canonical(round_obj)
+            return text
+
         with open(run_dir / "chains.jsonl", "w", encoding="utf-8") as fh:
             for chain in chains:
-                fh.write(json.dumps(chain, sort_keys=True, separators=(",", ":")))
+                fh.write(_chain_line(chain, encode_round))
                 fh.write("\n")
         self._emit_meta(run_dir, chains)
         return RunResult(

@@ -26,9 +26,13 @@ SENTINEL = "##REC## "
 OUTPUT_CAP = 1 << 20
 # longest text a record carries, so that honest records stay far below the cap
 TEXT_CAP = 1000
-# address space of a candidate, so that runaway memory fails in the candidate;
-# a lower hard limit inherited from the host stays
+# what a candidate may take, so that a runaway fails in the candidate: address
+# space, the size of a file it writes, and descriptors open at once; a lower
+# hard limit inherited from the host stays.  CPU time needs no cap, since the
+# wall-clock timeout ends the candidate.
 MEMORY_CAP = 1 << 30
+FILE_CAP = 16 << 20
+DESCRIPTOR_CAP = 64
 WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_TRUNC
 # audit events that change the file system, and how many leading arguments
 # are paths; os.replace raises os.rename
@@ -275,14 +279,18 @@ def grandchild(request, record_fd):
     code = 1  # an uncaught exception exits 1, as in a fresh interpreter
     try:
         os.setsid()
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        cap = MEMORY_CAP if hard == resource.RLIM_INFINITY else min(MEMORY_CAP, hard)
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
         null = os.open(os.devnull, os.O_RDWR)
         os.dup2(null, 0)
         os.dup2(record_fd, 1)
         os.dup2(null, 2)
         os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        # after closerange, whose bound the descriptor cap would lower
+        for limit, wanted in ((resource.RLIMIT_AS, MEMORY_CAP),
+                              (resource.RLIMIT_FSIZE, FILE_CAP),
+                              (resource.RLIMIT_NOFILE, DESCRIPTOR_CAP)):
+            hard = resource.getrlimit(limit)[1]
+            cap = wanted if hard == resource.RLIM_INFINITY else min(wanted, hard)
+            resource.setrlimit(limit, (cap, cap))
         os.chdir(request["workdir"])
         os.environ["HOME"] = request["workdir"]
         code = run_candidate(request)

@@ -63,7 +63,11 @@ class TestRunCommand:
         "decoding.max_tokens=0", "decoding.n_samples=0", 'models=["mock-alpha","mock-alpha"]',
         "k_ladder=[1,1,5]", "lean.command=[]",
         'gateway={"mode": "live", "providers": {"mock-alpha": 5}}',
-        'gateway={"mode": "live", "providers": {"mock-alpha": {"provider": "acme"}}}'])
+        'gateway={"mode": "live", "providers": {"mock-alpha": {"provider": "acme"}}}',
+        "python.timeout=-1", "python.timeout=0", "lean.timeout=0", "spec_checks.trials=-5",
+        "spec_checks.trials=0", "spec_checks.random_trials=-1",
+        'gateway.providers={"mock-alpha": {"provider": "", "endpoint": "https://x.test"}}',
+        'gateway.providers={"mock-alpha": {"provider": "acme", "endpoint": ""}}'])
     def test_non_numeric_override_is_a_config_error(self, capsys, tmp_path, override):
         code, out, err = run_cli(capsys, "run", "--config", MINI_CONFIG,
                                  "--runs-root", str(tmp_path / "runs"),

@@ -14,9 +14,10 @@ import pytest
 from bridge import pipeline, proofs, pyexec
 from bridge.corpus import Problem, UnitTest
 from bridge.errors import ConfigError
-from bridge.gateway import CompletionRecord, prompt_digest
+from bridge.gateway import CompletionRecord, ModelGateway, prompt_digest
 from bridge.lean import LeanVerifier, build_source, source_digest
 from bridge.pipeline import Orchestrator, RunConfig, execute, write_report
+from bridge.prompts import StrategyId, TemplateCatalog
 from conftest import write_corpus
 
 ADD = Problem(
@@ -220,6 +221,15 @@ class TestRunConfig:
         ("lean.command", "[]"),
         ("lean.transcripts", "5"),
         ("gateway.archive_dir", "7"),
+        ("python.timeout", "0"),
+        ("python.timeout", "-1"),
+        ("lean.timeout", "0"),
+        ("lean.timeout", "-0.5"),
+        ("spec_checks.trials", "0"),
+        ("spec_checks.trials", "-5"),
+        ("spec_checks.random_trials", "-1"),
+        ("gateway.providers", '{"m": {"provider": "", "endpoint": "https://x.test"}}'),
+        ("gateway.providers", '{"m": {"provider": "acme", "endpoint": ""}}'),
     ])
     def test_non_numeric_value_refused_at_load(self, dotted, raw):
         base = {"corpus": "x", "models": ["m"], "strategies": ["code/direct"]}
@@ -635,7 +645,7 @@ class TestPythonCheckReuse:
         first, second = (chain["rounds"][0]["outcome"] for chain in result.chains)
         assert len(calls) == 1
         assert first == second
-        assert first is not second
+        assert first is second
 
     def test_same_body_on_two_problems_checked_twice(self, tmp_path, monkeypatch):
         calls = self.count_calls(monkeypatch)
@@ -673,7 +683,7 @@ theorem addInts_terminates (a b : Int) : ∃ output : Int, addInts a b = output 
 
 class TestJudgementReuse:
     """Each distinct (domain, problem, completion text) is judged once per run
-    when its verdict is reusable; each round still gets its own dicts."""
+    when its verdict is reusable, and its rounds share the judgement's dicts."""
 
     TWO_SAMPLES = {"temperature": 0.7, "max_tokens": 512, "n_samples": 2}
     BOOM = "Candidate.lean:3:0: error: boom\n"
@@ -724,7 +734,8 @@ class TestJudgementReuse:
         assert len(scaffolds) == len(checks) == 1
         for key in ("artifact", "outcome"):
             assert all(r[key] == rounds[0][key] for r in rounds)
-            assert len({id(r[key]) for r in rounds}) == 4
+            # one judgement, so one object
+            assert len({id(r[key]) for r in rounds}) == 1
         assert rounds[0]["outcome"]["status"] == "CompileFailed"
 
     def test_live_lean_compiles_every_round(self, tmp_path):
@@ -844,7 +855,103 @@ class TestJudgementReuse:
         rounds = [r for chain in result.chains for r in chain["rounds"]]
         judged = [r["outcome"] for r in rounds if r["outcome"] is not None]
         assert len(rounds) == 96 and len(judged) == 64
-        assert len({id(outcome) for outcome in judged}) == 64
+        # two judgements: the Lean text as code and as a proof
+        assert len({id(outcome) for outcome in judged}) == 2
+
+
+class DigestLadderGateway(LadderGateway):
+    """A LadderGateway that says it answers by digest, as it does: its answer
+    is a function of the prompt."""
+
+    answers_by_digest = True
+
+
+def distinct_tails(chains):
+    """(domain, problem, model, failed text, round) of every round a retry
+    followed, without repeats."""
+    return {
+        (StrategyId.parse(chain["strategy"]).domain, chain["problem"], chain["model"],
+         round_obj["completion"]["text"], round_obj["round"])
+        for chain in chains for round_obj in chain["rounds"][:-1]
+    }
+
+
+class TestSharedTails:
+    """When the gateway answers by digest, the rounds after a failed round
+    are made once per (domain, problem, model, failed text, round)."""
+
+    TWO_SAMPLES = {"temperature": 0.7, "max_tokens": 512, "n_samples": 2}
+
+    def test_live_gateway_asks_for_each_chains_retry(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BRIDGE_ACME_KEY", "k-test")
+        prompts = []
+
+        def transport(endpoint, api_key, model_id, prompt, params, n):
+            prompts.append(prompt)
+            return [(GOOD_PY if "# RETRY ATTEMPT" in prompt else WRONG_PY, None)] * n
+
+        gateway = ModelGateway(
+            "live", transport=transport,
+            providers={"mock-m": {"provider": "acme", "endpoint": "https://x.test"}})
+        assert not gateway.answers_by_digest
+        config = add_config(tmp_path, decoding=self.TWO_SAMPLES, max_retries=1)
+        chains = Orchestrator(config, gateway=gateway,
+                              verifier=LeanVerifier(transcripts={})).run().chains
+        assert [c["final_status"] for c in chains] == ["Success"] * 2
+        retries = [prompt for prompt in prompts if "# RETRY ATTEMPT" in prompt]
+        assert len(retries) == 2 and retries[0] == retries[1]
+        assert chains[0]["rounds"][1] is not chains[1]["rounds"][1]
+
+    @pytest.mark.parametrize("fault, retries", [(None, 1), ("Timeout", 2), ("Crash", 2)])
+    def test_tail_with_a_host_fault_is_not_kept(self, tmp_path, monkeypatch, fault, retries):
+        checked = []
+        run_tests = pyexec.run_tests
+
+        def faulty(body, problem, **kwargs):
+            checked.append(body)
+            if fault and "a * b" in body:
+                return pyexec.TestOutcome(total=2, passed=0, fault=fault)
+            return run_tests(body, problem, **kwargs)
+
+        monkeypatch.setattr(pyexec, "run_tests", faulty)
+        gateway = DigestLadderGateway([WRONG_PY, WRONG_PY_2])
+        config = add_config(tmp_path, decoding=self.TWO_SAMPLES, max_retries=1)
+        chains = Orchestrator(config, gateway=gateway,
+                              verifier=LeanVerifier(transcripts={})).run().chains
+        assert [len(c["rounds"]) for c in chains] == [2, 2]
+        assert [call["round"] for call in gateway.calls].count(2) == retries
+        assert len(checked) == 1 + retries
+        assert (chains[0]["rounds"][1] is chains[1]["rounds"][1]) == (fault is None)
+
+    @pytest.mark.parametrize("path, over", [
+        ("fixtures/configs/e2e.json",
+         {"problems": '["climbing-stairs", "count-leaves", "majority-element"]'}),
+        ("fixtures/configs/mini_replay.json", {}),
+    ], ids=["mock", "replay"])
+    def test_many_workers_write_the_same_bytes(self, tmp_path, monkeypatch, path, over):
+        renders = []
+        render_retry = TemplateCatalog.render_retry
+
+        def counted(self, *args, **kwargs):
+            renders.append(args)
+            return render_retry(self, *args, **kwargs)
+
+        monkeypatch.setattr(TemplateCatalog, "render_retry", counted)
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for parallelism in (1, 8):
+                renders.clear()
+                config = RunConfig.from_file(path, {
+                    **over, "parallelism": str(parallelism),
+                    "runs_root": str(tmp_path / f"runs-{parallelism}")})
+                result = Orchestrator(config).run()
+                outputs.append((result.run_dir / "chains.jsonl").read_bytes())
+                assert len(renders) == len(distinct_tails(result.chains)) > 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[0] == outputs[1]
 
 
 class TestMetaEmission:

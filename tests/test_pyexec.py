@@ -17,7 +17,7 @@ from bridge.errors import MutantError, SandboxError
 from bridge.gateway import CompletionRecord, prompt_digest
 from bridge.lean import LeanVerifier
 from bridge.pipeline import Orchestrator, RunConfig
-from bridge.sandbox_server import fingerprint
+from bridge.sandbox_server import DESCRIPTOR_CAP, FILE_CAP, fingerprint
 from conftest import write_corpus
 
 
@@ -195,6 +195,18 @@ class TestSandbox:
             "    return a + b\n"
         )
         assert pyexec.run_tests(src, ADD).all_passed
+
+    @pytest.mark.parametrize("call, error", [
+        # the kernel writes up to the cap; the last byte, written on close, fails
+        (f"fh = open('big', 'wb'); fh.write(b'x' * {FILE_CAP + 1}); fh.close()",
+         "File too large"),
+        (f"[open(os.devnull) for _ in range({DESCRIPTOR_CAP + 10})]", "Too many open files"),
+    ], ids=["file-size", "descriptors"])
+    def test_past_a_resource_cap_is_an_exception(self, call, error):
+        src = f"import os\ndef addInts(a, b):\n    {call}\n    return a + b\n"
+        records, fault = pyexec._execute(src, "addInts", [[1, 2]], timeout=10.0)
+        assert fault is None
+        assert records[0]["kind"] == "fault" and error in records[0]["error"]
 
     def test_delete_outside_workdir_blocked(self, tmp_path):
         victim = tmp_path / "victim.txt"
