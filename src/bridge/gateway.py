@@ -11,9 +11,10 @@ hit identical archive entries regardless of mode. A mock script is indexed
 once into the same table a replay archive fills, so mock and replay share
 one lookup: the first n records stored for the digest, or `ReplayMissError`.
 A replay gateway fills that table with one pass over its archive directory
-at its first request.  The gateway never reads the prompt beyond digesting
-it.  Every mode but live answers a request by its digest alone: the same
-digest always gets the same records, which `answers_by_digest` states.
+at its first request, holding the stored records of every file there.  The
+gateway never reads the prompt beyond digesting it.  Every mode but live
+answers a request by its digest alone: the same digest always gets the same
+records, which `answers_by_digest` states.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ def _completions(
     ]
 
 
-def _script_table(script: Mapping) -> Dict[str, dict]:
-    """A mock script's entries as archive entries, indexed once by digest.
+def _script_table(script: Mapping) -> Dict[str, List[Mapping]]:
+    """A mock script's entries as stored records, indexed once by digest.
 
     Every entry needs a digest, a sample_index and a text, and each digest's
     indices must run 0..m-1 with no gap and no repeat.
@@ -128,8 +129,13 @@ def _script_table(script: Mapping) -> Dict[str, dict]:
                     f"or a gap in 0..{len(group) - 1} for digest {digest[:12]}"
                 )
             records[index] = entry
-        table[digest] = {"records": [records[i] for i in range(len(group))]}
+        table[digest] = [records[i] for i in range(len(group))]
     return table
+
+
+def _file_records(text: str) -> List[dict]:
+    """The stored records of an archive file's text."""
+    return json.loads(text).get("records", [])
 
 
 def _default_transport(
@@ -202,8 +208,9 @@ class ModelGateway:
         self._sleep = sleep
         self._digest_locks: Dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
-        # archive entries by digest: files read or written, or the mock script
-        self._archive: Dict[str, dict] = {}
+        # stored records by digest: of files read or written, or of the mock
+        # script; the rest of an archive file is never read back
+        self._archive: Dict[str, List[Mapping]] = {}
         self._archive_read = False  # whether a replay gateway has read every file
         if mode == "mock":
             if script is None:
@@ -244,60 +251,60 @@ class ModelGateway:
     def _archive_path(self, digest: str) -> Path:
         return self.archive_dir / f"{digest}.json"
 
-    def _load_archive(self, digest: str) -> Optional[dict]:
-        """The archive entry for a digest, read from disk at most once.
+    def _records(self, digest: str) -> Optional[List[Mapping]]:
+        """The stored records for a digest, read from disk at most once.
 
         A replay gateway reads every file of its archive at its first
         request; a digest still missing after that is tried as its own file.
         Misses are not cached, so an entry recorded later is still found.
         A mock gateway holds its whole table and never reads the disk.
         """
-        entry = self._archive.get(digest)
-        if entry is not None or self.mode == "mock":
-            return entry
+        records = self._archive.get(digest)
+        if records is not None or self.mode == "mock":
+            return records
         if self.mode == "replay" and not self._archive_read:
             self._read_archive()
-            entry = self._archive.get(digest)
-            if entry is not None:
-                return entry
+            records = self._archive.get(digest)
+            if records is not None:
+                return records
         try:
             text = self._archive_path(digest).read_text(encoding="utf-8")
         except FileNotFoundError:
             return None
-        entry = json.loads(text)
-        self._archive[digest] = entry
-        return entry
+        records = self._archive[digest] = _file_records(text)
+        return records
 
     def _read_archive(self) -> None:
         """Read every entry file of the archive directory, once per gateway.
 
         One pass by one worker replaces a read per request, each of which
-        hands the interpreter lock to another worker.  A file that does not
-        read or parse is left to the single-file read, which fails as it
-        always did if that digest is ever requested.
+        hands the interpreter lock to another worker.  The pass reads and
+        holds the records of every file, also of files the run never asks
+        for: an archive shared by several configs costs all of their reads.
+        A file that does not read or parse is left to the single-file read,
+        which fails as it always did if that digest is ever requested.
         """
         with self._locks_guard:
             if self._archive_read:
                 return
-            entries = {}
+            table = {}
             for path in self.archive_dir.glob("*.json"):
                 try:
-                    entries[path.stem] = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, ValueError):
+                    table[path.stem] = _file_records(path.read_text(encoding="utf-8"))
+                except (OSError, ValueError, AttributeError):
                     continue
             # published at once, so no worker runs on a half-read archive
             # while this one waits on the disk
-            self._archive.update(entries)
+            self._archive.update(table)
             self._archive_read = True
 
-    def _stored(self, model_id: str, digest: str, n: int) -> List[dict]:
+    def _stored(self, model_id: str, digest: str, n: int) -> List[Mapping]:
         """The first n stored records for a digest; too few is a miss."""
-        entry = self._load_archive(digest)
-        if entry is None:
+        stored = self._records(digest)
+        if stored is None:
             raise ReplayMissError(
                 f"no {self.mode} completions for digest {digest} (model {model_id})"
             )
-        stored = entry.get("records", [])
         if len(stored) < n:
             raise ReplayMissError(
                 f"digest {digest} has {len(stored)} {self.mode} samples, requested {n}"
@@ -310,11 +317,11 @@ class ModelGateway:
 
     def _record(
         self, model_id: str, prompt: str, digest: str, params: DecodingParams
-    ) -> List[dict]:
+    ) -> List[Mapping]:
         with self._digest_lock(digest):
-            entry = self._load_archive(digest)
-            if entry is not None and len(entry.get("records", [])) >= params.n_samples:
-                return entry["records"][: params.n_samples]
+            stored = self._records(digest)
+            if stored is not None and len(stored) >= params.n_samples:
+                return stored[: params.n_samples]
             payload = {
                 "model_id": model_id,
                 "prompt": prompt,
@@ -330,7 +337,7 @@ class ModelGateway:
                 encoding="utf-8",
             )
             os.replace(tmp, self._archive_path(digest))
-            self._archive[digest] = payload
+            self._archive[digest] = payload["records"]
             return payload["records"]
 
     # -- live -----------------------------------------------------------------

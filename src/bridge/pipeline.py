@@ -29,8 +29,9 @@ A run does each distinct piece of work once.  A completion text is judged
 once per (domain, problem, text), and its artifact and outcome dicts are
 built with its verdict.  When the gateway answers by digest, the rounds
 after a failed round depend only on (domain, problem, model, failed text,
-round number), so they are run once and every chain that reaches them
-holds the same round objects; chains.jsonl encodes each of those once.
+round number), and a whole chain only on its domain, problem and first
+record, so they are run once and every chain that reaches them holds the
+same round objects; chains.jsonl encodes each of those once.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ from dataclasses import MISSING, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
-from typing import TypeVar, Union
+from typing import Union
 
 from . import __version__, lean, metrics, proofs, pyexec
 from .corpus import Problem, load_manifest
 from .errors import ConfigError, NoArtifactError
 from .gateway import MODES as GATEWAY_MODES
-from .gateway import CompletionRecord, DecodingParams, ModelGateway
+from .gateway import CompletionRecord, DecodingParams, ModelGateway, count_tokens
 from .lean import LeanVerifier, VerificationOutcome, VerifyStatus
 from .prompts import ExtractedArtifact, StrategyId, TemplateCatalog
 from .prompts import extract_artifacts, list_strategies, problem_values
@@ -59,8 +60,6 @@ RUN_MODES = ("ParallelOnly", "RetryOnly", "ParallelPlusRetry")
 SUCCESS_PREDICATES = ("compile+guards", "compile-only")
 
 _NO_ARTIFACT_MESSAGE = "no artifact could be extracted from the completion"
-
-T = TypeVar("T")
 
 
 def _section(**defaults) -> dataclasses.Field:
@@ -382,19 +381,19 @@ _NO_ARTIFACT = Verdict(False, False, (_NO_ARTIFACT_MESSAGE,), None, reusable=Tru
 
 
 class _Judgement(NamedTuple):
-    """A completion text's verdict, with what every round of that text
-    writes: its artifact's and outcome's dicts and the text's word count."""
+    """A completion text's verdict, with the artifact and outcome dicts that
+    every round of that text writes."""
 
     artifact: Optional[Dict]
     verdict: Verdict
     outcome: Optional[Dict]
-    words: int
 
 
 class _Rounds(NamedTuple):
     """A chain from one round on: its rounds, its final status, the
-    annotation flags they set, and whether every verdict in them is
-    reusable.  cross_feedback, when set, belongs to the round before."""
+    annotation flags they and the retry before them set, and whether every
+    verdict in them is reusable.  cross_feedback, when set, belongs to the
+    round before."""
 
     rounds: Tuple[Dict, ...]
     status: str
@@ -416,14 +415,14 @@ def _artifact_obj(artifact: ExtractedArtifact) -> Dict:
 
 
 def _round_obj(round_no: int, record: CompletionRecord, judged: _Judgement) -> Dict:
-    tokens = record.reported_tokens
+    words, tokens = count_tokens(record)
     return {
         "round": round_no,
         "prompt_digest": record.prompt_digest,
         "completion": _completion_obj(record),
         "artifact": judged.artifact,
-        "words": judged.words,
-        "tokens": metrics.estimate_tokens(judged.words) if tokens is None else tokens,
+        "words": words,
+        "tokens": tokens,
         "outcome": judged.outcome,
     }
 
@@ -463,6 +462,39 @@ def _final_artifact(chain: Dict) -> Optional[Dict]:
     return None
 
 
+def _claim(table: Dict, key: tuple) -> Tuple[Optional[Future], object]:
+    """(claim, None) when this worker is the first to miss table[key], which
+    it then makes and settles; else (None, the value), waiting on a claim
+    for its value, kept or not.
+
+    The claim is a dict.setdefault, which is atomic, so of two workers that
+    miss at once exactly one claims; a lock around it made the workers queue
+    on each other at every lookup, a thread switch each time.
+    """
+    claim = None
+    found = table.get(key)
+    if found is None:
+        claim = Future()
+        found = table.setdefault(key, claim)
+    if found is claim:
+        return claim, None
+    return None, found.result() if isinstance(found, Future) else found
+
+
+def _settle(table: Dict, key: tuple, claim: Future, value=None, *, keep: bool = False,
+            error: Optional[BaseException] = None) -> None:
+    """Give a claim's waiters its value, or its error; the value stays in the
+    table when keep, else the claim is dropped and a later miss makes it again."""
+    if keep:
+        table[key] = value
+    else:
+        del table[key]
+    if error is not None:
+        claim.set_exception(error)
+    else:
+        claim.set_result(value)
+
+
 class Orchestrator:
     """Executes one configured run against injectable backends."""
 
@@ -482,12 +514,9 @@ class Orchestrator:
         # (backend, problem id, completion text) -> its reusable judgement, or
         # the Future of a worker's claim while it judges the text
         self._judged: Dict[tuple, Union[Future, _Judgement]] = {}
-        # rounds shared when the gateway answers by digest, each a claim's
-        # Future while it is made: (domain, problem id, model, failed text,
-        # round) -> the rounds after that round, and (domain, problem id,
-        # model, first record's digest, text, tokens, latency) -> a chain's rounds
+        # when the gateway answers by digest, the key of the rounds from a round
+        # on (see _chain_rounds) -> those rounds, or the Future of a claim
         self._tails: Dict[tuple, Union[Future, _Rounds]] = {}
-        self._firsts: Dict[tuple, Union[Future, _Rounds]] = {}
         self._shares_tails = getattr(self.gateway, "answers_by_digest", False)
         # (body, pathway) -> the theorems of a proof chain's final artifact
         self._theorem_sets: Dict[tuple, Tuple[proofs.TheoremCandidate, ...]] = {}
@@ -545,11 +574,7 @@ class Orchestrator:
     ) -> Dict:
         domain = strategy.domain
         _, _, after = self._backends[domain]
-        judged = self._judge(domain, problem, first_record.text)
-        key = (domain, problem.id, model, first_record.prompt_digest, first_record.text,
-               first_record.reported_tokens, first_record.latency)
-        make = partial(self._rounds_from, domain, problem, model, 1, first_record, judged)
-        chain_rounds = self._shared(self._firsts, key, make)
+        chain_rounds = self._chain_rounds(domain, problem, model, first_record)
         chain = {
             "problem": problem.id,
             "strategy": strategy.key,
@@ -563,102 +588,103 @@ class Orchestrator:
             after(chain, problem, strategy)
         return chain
 
-    def _shared(self, table: Dict, key: tuple, make: Callable[[], _Rounds]) -> _Rounds:
-        """Rounds that every chain asking by this key would make alike.
+    def _chain_rounds(self, domain: str, problem: Problem, model: str,
+                      record: CompletionRecord) -> _Rounds:
+        """A chain's rounds: each is judged and, if it failed with budget
+        left, retried with its errors.
 
-        When the gateway answers by digest they are made once, by _claim,
-        and kept while every verdict in them is reusable; chains that reach
-        them hold the same round objects.  A live gateway draws afresh for
-        each request, so there each chain makes its own.
+        When the gateway answers by digest, the rounds from a round on depend
+        only on a key: for the first round, (domain, problem id) and its
+        record but for the sample index; after a failed round whose verdict
+        is reusable, (domain, problem id, model, failed text, round number).
+        The first worker to reach a key claims it and makes those rounds,
+        kept while every verdict in them is reusable; a chain that reaches a
+        claimed key takes its rounds as they are, so chains share round
+        objects.  A live gateway draws afresh for each request, so there each
+        chain makes its own.  The walk is a loop, so no max_retries is too
+        deep for it.
         """
-        if not self._shares_tails:
-            return make()
-        return self._claim(table, key, make, lambda rounds: rounds.reusable)
-
-    def _rounds_from(self, domain: str, problem: Problem, model: str, round_no: int,
-                     record: CompletionRecord, judged: _Judgement) -> _Rounds:
-        """The chain from this round on: the round, then, if it failed with
-        budget left, a retry with its errors and the rounds after that."""
-        round_obj = _round_obj(round_no, record, judged)
-        verdict = judged.verdict
-        flags = {"lean_unavailable": True} if verdict.stop else {}
-        if verdict.success:
-            return _Rounds((round_obj,), "Success", flags, verdict.reusable)
-        if verdict.stop or round_no == self._max_rounds:
-            status = "Failure" if judged.artifact is not None else "NoArtifact"
-            return _Rounds((round_obj,), status, flags, verdict.reusable)
-        retry = partial(self._retry, domain, problem, model, round_no, record.text, judged)
-        if verdict.reusable:
-            key = (domain, problem.id, model, record.text, round_no)
-            after = self._shared(self._tails, key, retry)
-        else:  # a verdict that is not kept may differ next time, and so its retry
-            after = retry()
-        if after.cross_feedback is not None:
-            round_obj["cross_feedback"] = after.cross_feedback
-        return _Rounds((round_obj,) + after.rounds, after.status, {**flags, **after.flags},
-                       verdict.reusable and after.reusable)
+        # per round made here: the (key, claim) of the rounds from it on, if
+        # claimed; the round; its flags and reusability with those of the
+        # retry that led to it; and that retry's cross_feedback, which belongs
+        # to the round before
+        made: List[Tuple[Optional[Tuple[tuple, Future]], Dict, Dict[str, bool], bool,
+                         Optional[Dict]]] = []
+        claims: List[Tuple[tuple, Future]] = []  # dropped, with the error, if the walk raises
+        key = None
+        if self._shares_tails:
+            key = (domain, problem.id, dataclasses.replace(record, sample_index=0))
+        flags: Dict[str, bool] = {}
+        reusable, cross_feedback, round_no, failed = True, None, 1, None
+        try:
+            while True:
+                claimed = None
+                if key is not None:
+                    claim, rest = _claim(self._tails, key)
+                    if claim is None:
+                        break
+                    claimed = (key, claim)
+                    claims.append(claimed)
+                if failed is not None:
+                    flags, reusable, cross_feedback, prompt = self._retry(
+                        domain, problem, model, round_no, *failed)
+                    record = self.gateway.complete_n(model, prompt, self._single_params)[0]
+                    round_no += 1
+                judged = self._judge(domain, problem, record.text)
+                verdict = judged.verdict
+                if verdict.stop:
+                    flags["lean_unavailable"] = True
+                made.append((claimed, _round_obj(round_no, record, judged), flags,
+                             reusable and verdict.reusable, cross_feedback))
+                if verdict.success or verdict.stop or round_no == self._max_rounds:
+                    status = ("Success" if verdict.success
+                              else "Failure" if judged.artifact is not None else "NoArtifact")
+                    rest = _Rounds((), status, {}, True)
+                    break
+                # a verdict that is not kept may differ next time, and so its retry
+                shared = self._shares_tails and verdict.reusable
+                key = (domain, problem.id, model, record.text, round_no) if shared else None
+                failed = (record.text, judged)
+        except BaseException as exc:
+            for key, claim in claims:
+                _settle(self._tails, key, claim, error=exc)
+            raise
+        rounds = [round_obj for _, round_obj, *_ in made] + list(rest.rounds)
+        status, flags, reusable = rest.status, rest.flags, rest.reusable
+        after = rest.cross_feedback
+        for at in range(len(made) - 1, -1, -1):
+            claimed, round_obj, own_flags, own_reusable, cross_feedback = made[at]
+            if after is not None:
+                round_obj["cross_feedback"] = after
+            flags, reusable = {**own_flags, **flags}, own_reusable and reusable
+            after = cross_feedback
+            if claimed is not None:
+                value = _Rounds(tuple(rounds[at:]), status, flags, reusable, after)
+                _settle(self._tails, *claimed, value, keep=reusable)
+        return _Rounds(tuple(rounds), status, flags, reusable)
 
     def _retry(self, domain: str, problem: Problem, model: str, round_no: int, text: str,
-               judged: _Judgement) -> _Rounds:
-        """The rounds after a failed round, and its cross_feedback record.
-
-        The retry prompt and the cross-feedback request depend only on
-        (domain, problem, model, failed text, round number), the key these
-        rounds are shared by.
-        """
+               judged: _Judgement) -> Tuple[Dict[str, bool], bool, Optional[Dict], str]:
+        """What a failed round's retry sets: its annotation flags, whether the
+        cross-feedback verdict is reusable, the failed round's cross_feedback
+        record, and the retry prompt.  All depend only on (domain, problem,
+        model, failed text, round number)."""
         flags: Dict[str, bool] = {}
         lean_feedback, cross_feedback, reusable = None, None, True
         if domain == "spec" and self.config.spec_checks["cross_feedback"] and judged.artifact:
             lean_feedback, cross_feedback, reusable = self._lean_feedback(
                 problem, model, judged.artifact["body"], flags
             )
-        retry_prompt = self.catalog.render_retry(
+        prompt = self.catalog.render_retry(
             judged.artifact["body"] if judged.artifact else text,
             judged.verdict.errors,
             round_index=round_no,
             max_rounds=self.config.max_retries,
             lean_feedback=lean_feedback,
         )
-        record = self.gateway.complete_n(model, retry_prompt, self._single_params)[0]
-        next_judged = self._judge(domain, problem, record.text)
-        rest = self._rounds_from(domain, problem, model, round_no + 1, record, next_judged)
-        return _Rounds(rest.rounds, rest.status, {**flags, **rest.flags},
-                       reusable and rest.reusable, cross_feedback)
+        return flags, reusable, cross_feedback, prompt
 
     # --- backends ------------------------------------------------------
-
-    def _claim(
-        self, table: Dict, key: tuple, make: Callable[[], T], keep: Callable[[T], bool]
-    ) -> T:
-        """table[key], made by the first worker that misses it.
-
-        That worker claims the key and makes the value; a worker that finds
-        the claim waits for that value, kept or not.  An exception in the
-        claimant reaches every waiter and drops the claim, and so does a
-        value that keep refuses, so a later request makes it again.  The
-        claim is a dict.setdefault, which is atomic, so of two workers that
-        miss at once exactly one claims; a lock around it made the workers
-        queue on each other at every lookup, a thread switch each time.
-        """
-        claim = None
-        found = table.get(key)
-        if found is None:
-            claim = Future()
-            found = table.setdefault(key, claim)
-        if found is not claim:
-            return found.result() if isinstance(found, Future) else found
-        try:
-            value = make()
-        except BaseException as exc:
-            del table[key]
-            claim.set_exception(exc)
-            raise
-        if keep(value):
-            table[key] = value
-        else:
-            del table[key]
-        claim.set_result(value)
-        return value
 
     def _judge(self, backend: str, problem: Problem, text: str) -> _Judgement:
         """The judgement of a completion text: its artifact and verdict.
@@ -669,19 +695,25 @@ class Orchestrator:
         repeats an answer, or a repeated translation) is judged once, and
         every round of it holds the same artifact and outcome dicts.
         """
-        make = partial(self._judgement, backend, problem, text)
-        return self._claim(self._judged, (backend, problem.id, text), make,
-                           lambda judged: judged.verdict.reusable)
+        key = (backend, problem.id, text)
+        claim, judged = _claim(self._judged, key)
+        if claim is not None:
+            try:
+                judged = self._judgement(backend, problem, text)
+            except BaseException as exc:
+                _settle(self._judged, key, claim, error=exc)
+                raise
+            _settle(self._judged, key, claim, judged, keep=judged.verdict.reusable)
+        return judged
 
     def _judgement(self, backend: str, problem: Problem, text: str) -> _Judgement:
         extract, check, _ = self._backends[backend]
-        words = len(text.split())
         try:
             artifact = extract(text)
         except NoArtifactError:
-            return _Judgement(None, _NO_ARTIFACT, None, words)
+            return _Judgement(None, _NO_ARTIFACT, None)
         verdict = check(artifact.body, problem)
-        return _Judgement(_artifact_obj(artifact), verdict, verdict.outcome.to_obj(), words)
+        return _Judgement(_artifact_obj(artifact), verdict, verdict.outcome.to_obj())
 
     def _check_python(self, body: str, problem: Problem) -> Verdict:
         outcome = pyexec.run_tests(body, problem, timeout=self.config.python["timeout"])
@@ -781,7 +813,7 @@ class Orchestrator:
             "prompt_digest": record.prompt_digest,
             "completion": _completion_obj(record),
             "artifact": judged.artifact,
-            "outcome": judged.verdict.outcome.to_obj(),
+            "outcome": judged.outcome,
         }
         if judged.verdict.stop:
             flags["lean_unavailable"] = True
@@ -886,7 +918,13 @@ def execute(
     gateway: Optional[ModelGateway] = None,
     verifier: Optional[LeanVerifier] = None,
 ) -> Iterator[RunResult]:
-    """Run each point of the config (see RunConfig.points) in grid order."""
+    """Run each point of the config (see RunConfig.points) in grid order.
+
+    The points share one gateway, built from the config when none is given,
+    so a replay archive is read once for the whole sweep.
+    """
+    if gateway is None:
+        gateway = ModelGateway(**config.gateway)
     for suffix, point in config.points():
         yield Orchestrator(point, gateway=gateway, verifier=verifier).run(suffix)
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -560,7 +561,8 @@ class TestCrossFeedback:
         first, second = self.two_translations(tmp_path, verifier)
         assert calls == ["scaffold", "check"]
         assert first == second
-        assert first["outcome"] is not second["outcome"]
+        # one judgement of the translation, so one outcome dict
+        assert first["outcome"] is second["outcome"]
         assert first["outcome"]["status"] == "CompileFailed"
 
     def test_live_verifier_compiles_every_translation(self, tmp_path):
@@ -923,6 +925,19 @@ class TestSharedTails:
         assert len(checked) == 1 + retries
         assert (chains[0]["rounds"][1] is chains[1]["rounds"][1]) == (fault is None)
 
+    @pytest.mark.parametrize("gateway_class", [LadderGateway, DigestLadderGateway],
+                             ids=["live", "by-digest"])
+    def test_deep_retry_budget_runs_to_its_end(self, tmp_path, gateway_class):
+        # more retries than a chain of calls per round could nest
+        retries = 600
+        gateway = gateway_class([WRONG_PY])
+        config = add_config(tmp_path, decoding=self.TWO_SAMPLES, max_retries=retries)
+        chains = Orchestrator(config, gateway=gateway,
+                              verifier=LeanVerifier(transcripts={})).run().chains
+        assert [c["final_status"] for c in chains] == ["Failure"] * 2
+        assert [len(c["rounds"]) for c in chains] == [retries + 1] * 2
+        assert [r["round"] for r in chains[0]["rounds"]] == list(range(1, retries + 2))
+
     @pytest.mark.parametrize("path, over", [
         ("fixtures/configs/e2e.json",
          {"problems": '["climbing-stairs", "count-leaves", "majority-element"]'}),
@@ -1083,6 +1098,33 @@ class TestSweep:
         first, second = self.sweep(config) + self.sweep(config)
         assert first.run_id == second.run_id
         assert second.run_dir.name == first.run_id + "-2"
+
+    def test_sweep_reads_a_replay_archive_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BRIDGE_ACME_KEY", "k-test")
+        archive = tmp_path / "archive"
+        recorder = ModelGateway(
+            "record", archive_dir=archive, transport=lambda *request: [(GOOD_LEAN, None)],
+            providers={"mock-m": {"provider": "acme", "endpoint": "https://x.test"}})
+        grid = {"temperature_grid": [0.3, 0.9]}
+        recorded = list(execute(self.config(tmp_path, **grid), gateway=recorder,
+                                verifier=LeanVerifier(transcripts={})))
+        reads = []
+        read_text = Path.read_text
+
+        def counted(path, *args, **kwargs):
+            if path.parent == archive:
+                reads.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        config = self.config(tmp_path, runs_root=str(tmp_path / "replayed"), **grid,
+                             gateway={"mode": "replay", "archive_dir": str(archive)})
+        replayed = list(execute(config, verifier=LeanVerifier(transcripts={})))
+        # one gateway serves every point, so its one pass reads each file once
+        assert len(reads) == 2
+        assert sorted(reads) == sorted(path.name for path in archive.iterdir())
+        assert [(r.run_dir / "chains.jsonl").read_bytes() for r in replayed] == [
+            (r.run_dir / "chains.jsonl").read_bytes() for r in recorded]
 
     def test_orchestrator_refuses_a_grid(self, tmp_path):
         config = self.config(tmp_path, temperature_grid=[0.3, 0.9])
