@@ -1,9 +1,11 @@
 """Reporting: exact pass@k, token estimation, length and error statistics.
 
-This module consumes serialized chain records (the objects written to
-chains.jsonl), so it stays import-independent from the pipeline. All
-rationals stay exact internally; rounding to 4 decimal places happens only
-when report files are written.
+The report takes one pass over any iterable of chain records (the objects
+written to chains.jsonl), holding running counts per (model, strategy)
+rather than the records, so it stays import-independent from the pipeline
+and its memory does not grow with the run. All rationals stay exact
+internally; rounding to 4 decimal places happens only when report files are
+written.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .lean import ErrorClass
 
@@ -75,29 +77,6 @@ class LengthStats:
     failure_avg_tokens: Optional[float]
 
 
-def length_stats(chains: Sequence[dict]) -> LengthStats:
-    """Average chain lengths split into Success and non-Success chains."""
-    succ: List[Tuple[int, int]] = []
-    fail: List[Tuple[int, int]] = []
-    for chain in chains:
-        bucket = succ if chain["final_status"] == "Success" else fail
-        bucket.append(chain_length(chain))
-
-    def avg(pairs: List[Tuple[int, int]], idx: int) -> Optional[float]:
-        if not pairs:
-            return None
-        return sum(p[idx] for p in pairs) / len(pairs)
-
-    return LengthStats(
-        success_count=len(succ),
-        failure_count=len(fail),
-        success_avg_words=avg(succ, 0),
-        success_avg_tokens=avg(succ, 1),
-        failure_avg_words=avg(fail, 0),
-        failure_avg_tokens=avg(fail, 1),
-    )
-
-
 def _final_error_classes(chain: dict) -> List[str]:
     rounds = chain.get("rounds") or []
     if not rounds:
@@ -108,28 +87,16 @@ def _final_error_classes(chain: dict) -> List[str]:
     return list(outcome.get("error_classes", []))
 
 
-def error_distribution(chains: Sequence[dict]) -> Dict[str, Fraction]:
-    """Fraction of failed chains whose final round carries each error class.
-
-    Multi-label: a chain counts once per class it carries, so the fractions
-    may sum past 1. Only chains whose final outcome reports error classes
-    participate (Lean-backed chains); with no such failures the result is
-    empty.
-    """
-    failed = [c for c in chains if c["final_status"] != "Success"]
-    carriers = [c for c in failed if _final_error_classes(c)]
-    if not carriers:
-        return {}
-    counts: Dict[str, int] = {}
-    for chain in carriers:
-        for cls in set(_final_error_classes(chain)):
-            counts[cls] = counts.get(cls, 0) + 1
-    return {cls: Fraction(n, len(carriers)) for cls, n in counts.items()}
-
-
 @dataclass(frozen=True)
 class MetricRow:
-    """One report row per (model, strategy) within a run."""
+    """One report row per (model, strategy) within a run.
+
+    lengths splits chains into Success and the rest (NoArtifact counts as a
+    failure).  errors is the fraction of failed chains whose final round
+    carries each error class, over the failed chains whose final outcome
+    reports classes (Lean-backed chains); it is multi-label, so the fractions
+    may sum past 1, and empty when no failure carries a class.
+    """
 
     model: str
     strategy: str
@@ -145,61 +112,106 @@ class MetricRow:
     total_completions: int
 
 
-def _group_key(chain: dict) -> Tuple[str, str]:
-    return (chain["model"], chain["strategy"])
+def _mean_pass_at_k(counts: Sequence[Sequence[int]], k: int) -> Fraction:
+    """The mean of pass_at_k(n, c, k) over (n, c) pairs, exactly, for k at
+    most every n.
+
+    The C(n-c, k) numerators are summed over the common denominator C(n, k)
+    of each distinct n, so there is one Fraction per n, not per pair; it is
+    the same rational as the mean of the per-pair values.
+    """
+    misses: Dict[int, int] = {}
+    for n, c in counts:
+        misses[n] = misses.get(n, 0) + comb(n - c, k)
+    missed = sum((Fraction(m, comb(n, k)) for n, m in misses.items()), Fraction(0))
+    return 1 - missed / len(counts)
+
+
+class _Tally:
+    """The running counts of one (model, strategy) row."""
+
+    def __init__(self) -> None:
+        self.samples: Dict[str, List[int]] = {}  # problem -> [chains, successes]
+        # [chains, words, tokens] of Success chains, and of the rest
+        self.success = [0, 0, 0]
+        self.failure = [0, 0, 0]
+        self.carriers = 0  # failed chains whose final round names error classes
+        self.errors: Dict[str, int] = {}
+        self.completions = 0
+
+    def add(self, chain: dict) -> None:
+        succeeded = chain["final_status"] == "Success"
+        counts = self.samples.get(chain["problem"])
+        if counts is None:
+            counts = self.samples[chain["problem"]] = [0, 0]
+        counts[0] += 1
+        counts[1] += succeeded
+        words, tokens = chain_length(chain)
+        part = self.success if succeeded else self.failure
+        part[0] += 1
+        part[1] += words
+        part[2] += tokens
+        self.completions += len(chain["rounds"])
+        classes = () if succeeded else _final_error_classes(chain)
+        if classes:
+            self.carriers += 1
+            for cls in set(classes):
+                self.errors[cls] = self.errors.get(cls, 0) + 1
+
+    def row(self, model: str, strategy: str, temperature: float,
+            success_predicate: str, k_ladder: Sequence[int]) -> MetricRow:
+        counts = list(self.samples.values())  # [n, c] per problem
+        n = min(samples for samples, _ in counts)
+
+        def avg(part: List[int], at: int) -> Optional[float]:
+            return part[at] / part[0] if part[0] else None
+
+        return MetricRow(
+            model=model,
+            strategy=strategy,
+            temperature=temperature,
+            success_predicate=success_predicate,
+            problems=len(counts),
+            chains=self.success[0] + self.failure[0],
+            successes=self.success[0],
+            n_samples=n,
+            pass_at={k: _mean_pass_at_k(counts, k) for k in k_ladder if k <= n},
+            lengths=LengthStats(
+                success_count=self.success[0],
+                failure_count=self.failure[0],
+                success_avg_words=avg(self.success, 1),
+                success_avg_tokens=avg(self.success, 2),
+                failure_avg_words=avg(self.failure, 1),
+                failure_avg_tokens=avg(self.failure, 2),
+            ),
+            errors={cls: Fraction(m, self.carriers) for cls, m in self.errors.items()},
+            total_completions=self.completions,
+        )
 
 
 def compute_rows(
-    chains: Sequence[dict],
+    chains: Iterable[dict],
     temperature: float,
     success_predicate: str,
     k_ladder: Sequence[int] = DEFAULT_K_LADDER,
 ) -> List[MetricRow]:
-    """Aggregate chain records into MetricRows.
+    """Aggregate chain records into MetricRows, sorted by (model, strategy).
 
-    pass@k is computed per problem and macro-averaged across problems.
-    Ladder entries above the per-problem sample count are dropped.
+    One pass over any iterable: each chain is counted into its row and then
+    dropped.  pass@k is computed per problem and macro-averaged across
+    problems.  Ladder entries above the per-problem sample count are dropped.
     """
-    groups: Dict[Tuple[str, str], List[dict]] = {}
+    tallies: Dict[Tuple[str, str], _Tally] = {}
     for chain in chains:
-        groups.setdefault(_group_key(chain), []).append(chain)
-    rows = []
-    for (model, strategy) in sorted(groups):
-        members = groups[(model, strategy)]
-        by_problem: Dict[str, List[dict]] = {}
-        for chain in members:
-            by_problem.setdefault(chain["problem"], []).append(chain)
-        n = min(len(v) for v in by_problem.values())
-        ks = [k for k in k_ladder if k <= n]
-        pass_at: Dict[int, Fraction] = {}
-        for k in ks:
-            values = []
-            for problem_chains in by_problem.values():
-                n_p = len(problem_chains)
-                c_p = sum(
-                    1 for c in problem_chains if c["final_status"] == "Success"
-                )
-                values.append(pass_at_k(n_p, c_p, k))
-            pass_at[k] = sum(values, Fraction(0)) / len(values)
-        rows.append(
-            MetricRow(
-                model=model,
-                strategy=strategy,
-                temperature=temperature,
-                success_predicate=success_predicate,
-                problems=len(by_problem),
-                chains=len(members),
-                successes=sum(
-                    1 for c in members if c["final_status"] == "Success"
-                ),
-                n_samples=n,
-                pass_at=pass_at,
-                lengths=length_stats(members),
-                errors=error_distribution(members),
-                total_completions=sum(len(c["rounds"]) for c in members),
-            )
-        )
-    return rows
+        key = (chain["model"], chain["strategy"])
+        tally = tallies.get(key)
+        if tally is None:
+            tally = tallies[key] = _Tally()
+        tally.add(chain)
+    return [
+        tallies[key].row(*key, temperature, success_predicate, k_ladder)
+        for key in sorted(tallies)
+    ]
 
 
 def _fmt(value) -> str:
@@ -246,7 +258,7 @@ def _row_to_csv(row: MetricRow, k_ladder: Sequence[int]) -> List[str]:
 
 
 def emit_report(
-    chains: Sequence[dict],
+    chains: Iterable[dict],
     config: dict,
     out_dir,
     k_ladder: Sequence[int] = DEFAULT_K_LADDER,
@@ -254,13 +266,15 @@ def emit_report(
     """Write rows.csv and curves.jsonl for one run. Byte-deterministic.
 
     `config` is the resolved run configuration (the manifest's `config`
-    object); temperature and the success predicate come from it.
+    object); temperature and the success predicate come from it.  `chains`
+    is read once, and out_dir is made only after it has all been read, so a
+    reader that fails on a record leaves no directory behind.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     temperature = float(config["decoding"]["temperature"])
     predicate = str(config.get("success", {}).get("lean", "compile+guards"))
     rows = compute_rows(chains, temperature, predicate, k_ladder)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows_path = out_dir / "rows.csv"
     with open(rows_path, "w", encoding="utf-8", newline="") as handle:

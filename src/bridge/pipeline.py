@@ -40,6 +40,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import re
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import MISSING, dataclass
 from functools import partial
@@ -446,6 +447,59 @@ def _chain_line(chain: Dict, encode_round: Callable[[Dict], str]) -> str:
     return "{" + ",".join(part for part in parts if part) + "}"
 
 
+# the end of a canonical chain line: its top-level sample_index and strategy
+_LINE_END = re.compile(rb',"sample_index":(0|[1-9]\d{0,17}),"strategy":"(?:[^"\\]|\\.)*"\}\n?')
+
+
+def _read_chains(path: Path) -> Iterator[Dict]:
+    """The chains of a chains.jsonl, in file order: the inverse of _chain_line.
+
+    A line is decoded only if no earlier line of its (problem, strategy,
+    model) cell is the same but for its top-level sample_index; a repeat
+    yields a shallow copy with its own sample_index, so the chains of a cell
+    share nested objects, read-only, as a run's chains do.  The file is
+    sorted by cell, so only the current cell's lines are kept.  The
+    sample_index member is found from the end of the line: `,"` never occurs
+    inside a JSON string, whose quotes are escaped.  A line that does not end
+    in the canonical form is decoded as it is.  A line that is not a chain
+    raises ConfigError naming it.
+    """
+    seen: Dict[Tuple[bytes, bytes], Dict] = {}
+    cell = None
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            at = line.rfind(b',"sample_index":')
+            end = _LINE_END.fullmatch(line, at) if at >= 0 else None
+            if end is not None:
+                key = (line[:at], line[end.end(1):])
+                first = seen.get(key)
+                if first is not None:
+                    chain = dict(first)
+                    chain["sample_index"] = int(end.group(1))
+                    yield chain
+                    continue
+            try:
+                chain = json.loads(line)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{number}: not a JSON line ({exc})") from None
+            if not isinstance(chain, dict):
+                raise ConfigError(f"{path}:{number}: not a JSON object")
+            for name in ("problem", "strategy", "model", "final_status"):
+                if not isinstance(chain.get(name), str):
+                    raise ConfigError(f"{path}:{number}: {name} is missing or not a string")
+            rounds = chain.get("rounds")
+            if not isinstance(rounds, list) or not all(isinstance(r, dict) for r in rounds):
+                raise ConfigError(f"{path}:{number}: rounds is missing or not a list of objects")
+            if (chain["problem"], chain["strategy"], chain["model"]) != cell:
+                cell = (chain["problem"], chain["strategy"], chain["model"])
+                seen.clear()
+            if end is not None:
+                seen[key] = chain
+            yield chain
+
+
 def _diagnostic_lines(outcome: VerificationOutcome, fallback: str) -> List[str]:
     """Lean diagnostics as retry-prompt lines; `fallback status` when none."""
     lines = [
@@ -768,6 +822,10 @@ class Orchestrator:
             )
             chain["annotations"]["contracts"] = report.to_obj()
         if checks["vacuity"]:
+            # the passing judgement is kept, so this finds its test outcome,
+            # which vacuity_check need not run again as its reference
+            text = chain["rounds"][-1]["completion"]["text"]
+            reference = self._judge("spec", problem, text).verdict.outcome
             try:
                 vacuity = pyexec.vacuity_check(
                     body,
@@ -775,6 +833,7 @@ class Orchestrator:
                     seed=self.config.seed,
                     random_trials=checks["random_trials"],
                     timeout=timeout,
+                    reference=reference,
                 ).to_obj()
             except pyexec.MutantError as exc:
                 vacuity = {"type": "vacuity", "verdict": "NoMutants", "error": str(exc)}
@@ -930,17 +989,16 @@ def execute(
 
 
 def write_report(run_dir: Path) -> Path:
-    """Build the metrics report for an existing run directory."""
+    """Build the metrics report for an existing run directory, streaming its
+    chains.jsonl."""
     chains_path = Path(run_dir) / "chains.jsonl"
     manifest_path = Path(run_dir) / "manifest.json"
     if not chains_path.exists() or not manifest_path.exists():
         raise ConfigError(f"{run_dir} does not look like a run directory")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    with open(chains_path, "r", encoding="utf-8") as fh:
-        chains = [json.loads(line) for line in fh if line.strip()]
     config = manifest["config"]
     ladder = config.get("k_ladder") or metrics.DEFAULT_K_LADDER
     report_dir = Path(run_dir) / "report"
-    metrics.emit_report(chains, config, report_dir, k_ladder=ladder)
+    metrics.emit_report(_read_chains(chains_path), config, report_dir, k_ladder=ladder)
     return report_dir

@@ -515,15 +515,19 @@ def vacuity_check(
     seed: int = 0,
     random_trials: int = DEFAULT_RANDOM_TRIALS,
     timeout: float = 30.0,
+    reference: Optional[TestOutcome] = None,
 ) -> VacuityReport:
     """Judge whether a specification's contracts actually constrain behavior.
 
     The reference implementation must satisfy its own contracts on the
-    problem's tests; otherwise the verdict is InconsistentSpec.  Each mutant
-    is rejected when a postcondition or invariant fires on at least one
-    probe input.  A specification rejecting no mutants is Vacuous.
+    problem's tests; otherwise the verdict is InconsistentSpec.  `reference`
+    is its run_tests outcome when the caller already has it, else it is run
+    here.  Each mutant is rejected when a postcondition or invariant fires on
+    at least one probe input.  A specification rejecting no mutants is
+    Vacuous.
     """
-    reference = run_tests(artifact_body, problem, timeout=timeout)
+    if reference is None:
+        reference = run_tests(artifact_body, problem, timeout=timeout)
     if not reference.all_passed:
         return VacuityReport(
             verdict="InconsistentSpec", mutants_total=0, mutants_rejected=0

@@ -239,6 +239,19 @@ class TestReplayAndReport:
         assert "pass@1" in rows.splitlines()[0]
         assert (runs_root / run_id / "report" / "curves.jsonl").exists()
 
+    def test_report_on_truncated_chains_is_one_error_line(self, capsys, finished_run):
+        runs_root, run_id = finished_run
+        chains = runs_root / run_id / "chains.jsonl"
+        lines = chains.read_bytes().splitlines(keepends=True)
+        # a run killed while writing leaves half a line
+        chains.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        code, out, err = run_cli(
+            capsys, "report", "--run", run_id, "--runs-root", str(runs_root))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and f"chains.jsonl:{len(lines)}: " in err
+        assert not (runs_root / run_id / "report").exists()
+
     def test_report_unknown_run(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "report", "--run", "run-missing", "--runs-root", str(tmp_path))

@@ -2,11 +2,13 @@ import csv
 import io
 import itertools
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from bridge import metrics
+from bridge import metrics, pipeline
 
 
 def exhaustive_pass_at_k(n, c, k):
@@ -120,6 +122,12 @@ def make_chain(problem, strategy, model, sample, status, rounds):
     }
 
 
+def only_row(chains, k_ladder=(1,)):
+    rows = metrics.compute_rows(chains, 0.7, "compile+guards", k_ladder=k_ladder)
+    assert len(rows) == 1
+    return rows[0]
+
+
 class TestChainStats:
     def test_chain_length_sums_rounds(self):
         ch = make_chain("p", "code/direct", "m", 0, "Success",
@@ -132,7 +140,7 @@ class TestChainStats:
             make_chain("p", "code/direct", "m", 1, "Success", [(300, 414, [])]),
             make_chain("p", "code/direct", "m", 2, "Failure", [(500, 690, ["Type"])]),
         ]
-        stats = metrics.length_stats(chains)
+        stats = only_row(chains).lengths
         assert stats.success_count == 2 and stats.failure_count == 1
         assert stats.success_avg_words == 200.0
         assert stats.success_avg_tokens == 276.0
@@ -142,7 +150,7 @@ class TestChainStats:
         chains = [
             make_chain("p", "code/direct", "m", 0, "Success", [(100, 138, [])]),
         ]
-        stats = metrics.length_stats(chains)
+        stats = only_row(chains).lengths
         assert stats.failure_avg_words is None
         assert stats.failure_avg_tokens is None
         assert stats.failure_count == 0
@@ -151,7 +159,7 @@ class TestChainStats:
         chains = [
             make_chain("p", "code/direct", "m", 0, "NoArtifact", [(80, 110, None)]),
         ]
-        stats = metrics.length_stats(chains)
+        stats = only_row(chains).lengths
         assert stats.failure_count == 1
         assert stats.failure_avg_words == 80.0
 
@@ -168,18 +176,18 @@ class TestErrorDistribution:
                        [(10, 14, [])]),
             make_chain("p", "code/direct", "m", 3, "NoArtifact", []),
         ]
-        dist = metrics.error_distribution(chains)
+        dist = only_row(chains).errors
         # denominator is failed chains whose final outcome reports classes (2)
         assert dist["Type"] == 1
         assert dist["Termination"] == Fraction(1, 2)
         assert "Syntax" not in dist
 
     def test_empty(self):
-        assert metrics.error_distribution([]) == {}
+        assert metrics.compute_rows([], 0.7, "compile+guards") == []
 
     def test_no_carriers(self):
         chains = [make_chain("p", "s", "m", 0, "NoArtifact", [])]
-        assert metrics.error_distribution(chains) == {}
+        assert only_row(chains).errors == {}
 
 
 class TestComputeRows:
@@ -215,6 +223,79 @@ class TestComputeRows:
         rows = metrics.compute_rows(chains, 0.7, "compile+guards", k_ladder=[1, 5])
         assert 5 not in rows[0].pass_at
         assert rows[0].pass_at[1] == 1
+
+
+class TestStreaming:
+    def chains(self):
+        rng = random.Random(7)
+        return [
+            make_chain(f"p{p}", strategy, model, s,
+                       rng.choice(["Success", "Failure", "NoArtifact"]),
+                       [(rng.randrange(200), rng.randrange(300),
+                         rng.choice([None, [], ["Type"], ["Syntax", "Type"]]))
+                        for _ in range(rng.randrange(4))])
+            for model in ("m1", "m2")
+            for strategy in ("code/direct", "proof/direct")
+            for p in range(3)
+            for s in range(rng.randrange(1, 6))
+        ]
+
+    def test_generator_equals_list(self):
+        chains = self.chains()
+        assert metrics.compute_rows((c for c in chains), 0.7, "x", k_ladder=[1, 2, 5]) \
+            == metrics.compute_rows(chains, 0.7, "x", k_ladder=[1, 2, 5])
+
+    def test_report_memory_is_bounded_by_a_cell(self, tmp_path):
+        # ~10 MB of chains.jsonl in 1,250 cells of 4 samples, two distinct
+        # texts per cell: the report holds one cell and the row counts
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(
+            json.dumps({"config": CONFIG}), encoding="utf-8")
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        with open(run_dir / "chains.jsonl", "w", encoding="utf-8") as fh:
+            for p in range(1250):
+                for s in range(4):
+                    chain = make_chain(f"p{p:04d}", "code/direct", "m", s,
+                                       "Success" if s % 2 else "Failure",
+                                       [(10, 14, ["Type"])])
+                    chain["rounds"][0]["completion"]["text"] = f"{p}:{s % 2}:" + "w " * 900
+                    fh.write(encode(chain) + "\n")
+        size = (run_dir / "chains.jsonl").stat().st_size
+        assert size > 9_000_000
+        tracemalloc.start()
+        try:
+            pipeline.write_report(run_dir)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 20, f"peak {peak} bytes for a {size}-byte file"
+        row = metrics.compute_rows(
+            pipeline._read_chains(run_dir / "chains.jsonl"), 0.7, "x", k_ladder=[1])[0]
+        assert (row.problems, row.chains, row.successes) == (1250, 5000, 2500)
+
+    def test_pass_at_is_the_exact_mean_of_pass_at_k(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            # unequal sample counts per problem, as a ragged run has
+            counts = []
+            for _ in range(rng.randrange(1, 6)):
+                n = rng.randrange(1, 12)
+                counts.append((n, rng.randrange(n + 1)))
+            chains = [
+                make_chain(f"p{i}", "code/direct", "m", s,
+                           "Success" if s < c else "Failure", [])
+                for i, (n, c) in enumerate(counts)
+                for s in range(n)
+            ]
+            ladder = list(range(1, 13))
+            row = only_row(chains, k_ladder=ladder)
+            least = min(n for n, _ in counts)
+            assert sorted(row.pass_at) == list(range(1, least + 1))
+            for k, value in row.pass_at.items():
+                want = sum((metrics.pass_at_k(n, c, k) for n, c in counts),
+                           Fraction(0)) / len(counts)
+                assert isinstance(value, Fraction) and value == want, (counts, k)
 
 
 class TestReport:

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from bridge import pipeline, proofs, pyexec
+from bridge import metrics, pipeline, proofs, pyexec
 from bridge.corpus import Problem, UnitTest
 from bridge.errors import ConfigError
 from bridge.gateway import CompletionRecord, ModelGateway, prompt_digest
@@ -594,6 +594,24 @@ class TestSpecAnnotations:
         assert chain["annotations"]["contracts"]["type"] == "contracts"
         assert chain["annotations"]["vacuity"]["verdict"] == "Vacuous"
 
+    def test_vacuity_reuses_the_passing_judgement(self, tmp_path, monkeypatch):
+        runs = []
+        run_tests = pyexec.run_tests
+
+        def counted(body, problem, **kwargs):
+            runs.append(body)
+            return run_tests(body, problem, **kwargs)
+
+        monkeypatch.setattr(pyexec, "run_tests", counted)
+        config = add_config(
+            tmp_path, spec_checks={"contracts": False, "vacuity": True, "random_trials": 5})
+        orch = Orchestrator(config, gateway=LadderGateway([GOOD_PY]),
+                            verifier=LeanVerifier(transcripts={}))
+        chain = orch.run().chains[0]
+        assert chain["annotations"]["vacuity"]["verdict"] == "Vacuous"
+        # the chain's own test run is vacuity's reference, not a second run
+        assert len(runs) == 1
+
     def test_checks_get_the_configured_python_timeout(self, tmp_path, monkeypatch):
         seen = []
 
@@ -1156,3 +1174,103 @@ class TestWriteReport:
     def test_rejects_non_run_dir(self, tmp_path):
         with pytest.raises(ConfigError):
             write_report(tmp_path)
+
+
+def report_chain(sample, status="Failure", text="answer", classes=("Type",)):
+    outcome = {"type": "lean", "status": "CompileFailed", "error_classes": list(classes)}
+    return {
+        "annotations": {},
+        "final_status": status,
+        "model": "mock-m",
+        "problem": "add-ints",
+        "rounds": [{"round": 1, "prompt_digest": "0" * 64,
+                    "completion": {"text": text, "reported_tokens": None, "latency": 0.0},
+                    "artifact": None, "words": 3, "tokens": 4, "outcome": outcome}],
+        "sample_index": sample,
+        "strategy": "code/direct",
+    }
+
+
+class TestReadChains:
+    """write_report streams chains.jsonl and gives the bytes a full decode gives."""
+
+    CONFIG = {"decoding": {"temperature": 0.7}, "k_ladder": [1, 2]}
+
+    def run_dir(self, tmp_path, lines):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(
+            json.dumps({"config": self.CONFIG}), encoding="utf-8")
+        (run_dir / "chains.jsonl").write_text("".join(line + "\n" for line in lines),
+                                              encoding="utf-8")
+        return run_dir
+
+    def assert_report_as_decoded(self, tmp_path, run_dir, config=CONFIG):
+        lines = (run_dir / "chains.jsonl").read_text(encoding="utf-8").splitlines()
+        decoded = [json.loads(line) for line in lines if line.strip()]
+        read = list(pipeline._read_chains(run_dir / "chains.jsonl"))
+        assert read == decoded
+        assert len({id(chain) for chain in read}) == len(read)
+        write_report(run_dir)
+        want = tmp_path / "want"
+        metrics.emit_report(decoded, config, want, k_ladder=config["k_ladder"])
+        for name in ("rows.csv", "curves.jsonl"):
+            assert (run_dir / "report" / name).read_bytes() == (want / name).read_bytes()
+        return read
+
+    def test_lines_that_differ_only_in_sample_index(self, tmp_path):
+        lines = [pipeline._canonical(report_chain(s)) for s in range(3)]
+        lines.append(pipeline._canonical(report_chain(3, "Success", "other", ())))
+        read = self.assert_report_as_decoded(tmp_path, self.run_dir(tmp_path, lines))
+        assert [chain["sample_index"] for chain in read] == [0, 1, 2, 3]
+        # a repeat is decoded once and its copies share its nested objects
+        assert read[0]["rounds"] is read[1]["rounds"] is read[2]["rounds"]
+        assert read[3]["rounds"] is not read[0]["rounds"]
+
+    def test_text_that_mimics_the_line_end(self, tmp_path):
+        text = 'x,"sample_index":7,"strategy":"proof/direct"}'
+        lines = [pipeline._canonical(report_chain(s, text=text)) for s in (4, 9)]
+        assert ',\\"sample_index\\":7' in lines[0]
+        read = self.assert_report_as_decoded(tmp_path, self.run_dir(tmp_path, lines))
+        assert [chain["sample_index"] for chain in read] == [4, 9]
+        assert [chain["strategy"] for chain in read] == ["code/direct"] * 2
+        assert read[0]["rounds"][0]["completion"]["text"] == text
+
+    def test_non_canonical_line_is_decoded_as_is(self, tmp_path):
+        chain = report_chain(3, "Success", classes=())
+        spaced = json.dumps(dict(reversed(list(chain.items()))))
+        assert '"sample_index": 3' in spaced
+        lines = [pipeline._canonical(report_chain(s)) for s in range(3)] + [spaced]
+        read = self.assert_report_as_decoded(tmp_path, self.run_dir(tmp_path, lines))
+        assert [chain["final_status"] for chain in read] == ["Failure"] * 3 + ["Success"]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        lines = ["", pipeline._canonical(report_chain(0)), "  ",
+                 pipeline._canonical(report_chain(1)), ""]
+        read = self.assert_report_as_decoded(tmp_path, self.run_dir(tmp_path, lines))
+        assert [chain["sample_index"] for chain in read] == [0, 1]
+
+    def test_mini_replay_run(self, tmp_path):
+        config = RunConfig.from_file("fixtures/configs/mini_replay.json",
+                                     {"runs_root": json.dumps(str(tmp_path / "runs"))})
+        (result,) = execute(config)
+        read = self.assert_report_as_decoded(tmp_path, result.run_dir,
+                                             result.manifest["config"])
+        assert len(read) == len(result.chains)
+
+    @pytest.mark.parametrize("last, wrong", [
+        (pipeline._canonical(report_chain(2))[:-40], "not a JSON line"),
+        (pipeline._canonical({k: v for k, v in report_chain(2).items() if k != "strategy"}),
+         "strategy is missing or not a string"),
+        ("[1, 2]", "not a JSON object"),
+        (pipeline._canonical({**report_chain(2), "rounds": {}}),
+         "rounds is missing or not a list of objects"),
+        (b"\xff\xfe{}", "not a JSON line"),
+    ], ids=["truncated", "no-strategy", "array", "rounds-object", "not-utf8"])
+    def test_damaged_line_is_a_config_error(self, tmp_path, last, wrong):
+        run_dir = self.run_dir(tmp_path, [pipeline._canonical(report_chain(s)) for s in (0, 1)])
+        with open(run_dir / "chains.jsonl", "ab") as fh:
+            fh.write(last if isinstance(last, bytes) else last.encode())
+        with pytest.raises(ConfigError, match=re.escape(f"chains.jsonl:3: {wrong}")):
+            write_report(run_dir)
+        assert not (run_dir / "report").exists()
