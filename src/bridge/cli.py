@@ -20,7 +20,7 @@ from .errors import (
     CorpusError,
     ReplayMissError,
 )
-from .pipeline import RunConfig, RunResult, execute, write_report
+from .pipeline import RunConfig, RunResult, execute, read_manifest, write_report
 from .prompts import list_strategies
 
 # an error exits with the code of the first class it is an instance of
@@ -131,12 +131,9 @@ def _run_dir(args) -> Path:
 
 
 def _cmd_replay(args) -> int:
-    manifest_path = _run_dir(args) / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"{manifest_path.parent} has no manifest.json")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    config = read_manifest(_run_dir(args))["config"]
     overrides = {"gateway.mode": "replay", "runs_root": json.dumps(args.runs_root)}
-    return _run_and_print(RunConfig.from_obj(manifest["config"], overrides))
+    return _run_and_print(RunConfig.from_obj(config, overrides))
 
 
 def _cmd_report(args) -> int:

@@ -572,8 +572,9 @@ class Orchestrator:
         # on (see _chain_rounds) -> those rounds, or the Future of a claim
         self._tails: Dict[tuple, Union[Future, _Rounds]] = {}
         self._shares_tails = getattr(self.gateway, "answers_by_digest", False)
-        # (body, pathway) -> the theorems of a proof chain's final artifact
-        self._theorem_sets: Dict[tuple, Tuple[proofs.TheoremCandidate, ...]] = {}
+        # (body, pathway) -> the encoded theorems of a proof chain's final
+        # artifact, one list that every such chain holds read-only
+        self._theorem_sets: Dict[tuple, List[Dict]] = {}
         self._cell_params = config.decoding_params()
         self._single_params = dataclasses.replace(self._cell_params, n_samples=1)
         self._max_rounds = 1 if config.mode == "ParallelOnly" else 1 + config.max_retries
@@ -843,11 +844,11 @@ class Orchestrator:
         artifact = _final_artifact(chain)
         if artifact is not None:
             key = (artifact["body"], strategy.name)
-            candidates = self._theorem_sets.get(key)
-            if candidates is None:
-                candidates = tuple(proofs.extract_theorems(*key))
-                self._theorem_sets[key] = candidates
-            chain["annotations"]["theorems"] = [c.to_obj() for c in candidates]
+            theorems = self._theorem_sets.get(key)
+            if theorems is None:
+                theorems = [c.to_obj() for c in proofs.extract_theorems(*key)]
+                self._theorem_sets[key] = theorems
+            chain["annotations"]["theorems"] = theorems
 
     # --- retries ---------------------------------------------------------
 
@@ -988,16 +989,29 @@ def execute(
         yield Orchestrator(point, gateway=gateway, verifier=verifier).run(suffix)
 
 
+def read_manifest(run_dir: Path) -> Dict:
+    """The manifest.json of a run directory, which holds a `config` object;
+    ConfigError naming the file when it is missing or damaged."""
+    path = Path(run_dir) / "manifest.json"
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{run_dir} has no manifest.json") from None
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f"{path}: not an object with a config object")
+    return manifest
+
+
 def write_report(run_dir: Path) -> Path:
     """Build the metrics report for an existing run directory, streaming its
     chains.jsonl."""
     chains_path = Path(run_dir) / "chains.jsonl"
-    manifest_path = Path(run_dir) / "manifest.json"
-    if not chains_path.exists() or not manifest_path.exists():
+    if not chains_path.exists():
         raise ConfigError(f"{run_dir} does not look like a run directory")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    config = manifest["config"]
+    config = read_manifest(run_dir)["config"]
     ladder = config.get("k_ladder") or metrics.DEFAULT_K_LADDER
     report_dir = Path(run_dir) / "report"
     metrics.emit_report(_read_chains(chains_path), config, report_dir, k_ladder=ladder)

@@ -1,18 +1,20 @@
 """Sandboxed execution backend for Python candidate solutions.
 
 Candidates run outside this process, in a warm sandbox server
-(`bridge.sandbox_server`) with a scrubbed environment.  For each check the
-server forks a grandchild in its own session, which installs a write-blocking
-audit hook and calls the candidate on the inputs it was sent, in a fresh work
-directory.  The server kills the grandchild's process group on timeout or
-past the output cap, reaps it, and relays one record per call.  Forking in
-the server keeps `fork` out of the threaded orchestrator.  Expected values
-never leave this process: the verdict compares their fingerprints here.
+(`bridge.sandbox_server`) started as `-I -S` with a scrubbed environment, so
+a candidate gets the standard library and the `deal` shim only.  For each
+check the server forks a grandchild in its own session, which installs a
+write-blocking audit hook and calls the candidate on the inputs it was sent,
+in a fresh work directory.  The server kills the grandchild's process group
+on timeout or past the output cap, reaps it, and relays one record per call.
+A vacuity check is one request: the server builds the mutants and forks each
+as a check of its own.  Forking in the server keeps `fork` out of the
+threaded orchestrator.  Expected values never leave this process: the
+verdict compares their fingerprints here.
 """
 
 from __future__ import annotations
 
-import ast
 import atexit
 import json
 import os
@@ -23,9 +25,10 @@ import subprocess
 import sys
 import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import literals, sandbox_server
 from .corpus import Problem, UnitTest
@@ -38,7 +41,7 @@ DEFAULT_RANDOM_TRIALS = 25
 # env vars the child is allowed to inherit
 _ENV_ALLOW = ("PATH", "LANG", "LC_ALL", "PYTHONIOENCODING", "SYSTEMROOT")
 
-# run as `<python> -I -c <text>`, so that BRIDGE_PYTHON_CMD wrappers need no file
+# run as `<python> -I -S -c <text>`, so that BRIDGE_PYTHON_CMD wrappers need no file
 _SERVER_SOURCE = Path(sandbox_server.__file__).read_text(encoding="utf-8")
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ class _Server:
         self._sock, server_end = socket.socketpair()
         try:
             self._proc = subprocess.Popen(
-                _python_command() + ["-I", "-c", _SERVER_SOURCE],
+                _python_command() + ["-I", "-S", "-c", _SERVER_SOURCE],
                 stdin=server_end.fileno(),
                 stdout=server_end.fileno(),
                 stderr=subprocess.DEVNULL,
@@ -164,10 +167,50 @@ class _Server:
         return obj if isinstance(obj, dict) else {}
 
     def run(self, request: Dict[str, object]) -> _ChildResult:
+        """One check's result; a lost server's is a crash."""
+        try:
+            self._send(request)
+        except OSError:
+            pass
+        return self._result(request["id"])
+
+    def run_mutants(
+        self, request: Dict[str, object], results: List[_ChildResult]
+    ) -> List[str]:
+        """Ask for a vacuity check's mutants from request["start"] on and
+        append each one's result to `results`, up to one that loses the
+        server; the names of all the mutants.  MutantError when the server
+        can build none, or is lost before it names them."""
         token = request["id"]
+        try:
+            self._send(request)
+            header = self._line()
+        except OSError:
+            header = {}
+        names = header.get("mutants")
+        if header.get("id") == token and isinstance(header.get("error"), str):
+            raise MutantError(header["error"])
+        if (
+            header.get("id") != token
+            or not isinstance(names, list)
+            or not all(isinstance(name, str) for name in names)
+        ):
+            # as a lost check is a crash rather than an abort, so is this
+            self.close()
+            raise MutantError("sandbox server lost before it named the mutants")
+        for _ in range(request["start"], len(names)):
+            results.append(self._result(token))
+            if not self.alive():
+                break
+        return names
+
+    def _send(self, request: Dict[str, object]) -> None:
+        self._sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
+
+    def _result(self, token: object) -> _ChildResult:
+        """The pid line and the result line of the check in flight."""
         reply: Dict[str, object] = {}
         try:
-            self._sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
             started = self._line()
             pid = started.get("pid")
             # a pid of 0 or 1 would make killpg signal far more than a candidate
@@ -222,7 +265,10 @@ class _ServerPool:
         self._lock = threading.Lock()
         self._idle: List[_Server] = []
 
-    def run(self, request: Dict[str, object]) -> _ChildResult:
+    @contextmanager
+    def _lease(self) -> Iterator[_Server]:
+        """An idle server, or a new one; it goes back to the idle list if it
+        is still alive when the caller is done."""
         server = None
         with self._lock:
             while self._idle and server is None:
@@ -233,14 +279,30 @@ class _ServerPool:
         if server is None:
             server = _Server()
         try:
-            result = server.run(request)
+            yield server
         except BaseException:
             server.close()
             raise
         if server.alive():
             with self._lock:
                 self._idle.append(server)
-        return result
+
+    def run(self, request: Dict[str, object]) -> _ChildResult:
+        with self._lease() as server:
+            return server.run(request)
+
+    def run_mutants(
+        self, request: Dict[str, object]
+    ) -> Tuple[List[str], List[_ChildResult]]:
+        """The names of a vacuity check's mutants and each one's result.
+        The mutants after one that loses its server are asked of another."""
+        results: List[_ChildResult] = []
+        while True:
+            with self._lease() as server:
+                names = server.run_mutants(request, results)
+            if len(results) >= len(names):
+                return names, results
+            request = dict(request, start=len(results), id=os.urandom(16).hex())
 
     def shutdown(self) -> None:
         with self._lock:
@@ -260,21 +322,31 @@ def shutdown() -> None:
 atexit.register(shutdown)
 
 
+@contextmanager
+def _workdirs(count: int) -> Iterator[List[str]]:
+    """`count` fresh work directories, removed with whatever is left in them."""
+    made: List[str] = []
+    try:
+        for _ in range(count):
+            made.append(tempfile.mkdtemp(prefix="bridge-py-"))
+        yield made
+    finally:
+        for workdir in made:
+            # Candidates rarely leave files, and rmdir of an empty directory
+            # is far cheaper than a tree walk.
+            try:
+                os.rmdir(workdir)
+            except OSError:
+                shutil.rmtree(workdir, ignore_errors=True)
+
+
 def _execute(
     source: str, function_name: str, inputs: List[List[object]], *, timeout: float
 ) -> Tuple[List[Optional[Dict[str, object]]], Optional[str]]:
     """Call the candidate on each argument list in a fresh work directory:
-    (each input's record or None, the run's fault).  No expected value is sent.
-
-    An input's record is the one whose index names it; a `crash` record
-    stands for every input; a record that names no input counts for nothing.
-    A second record for an input is Tampered, and leaves every input without
-    a record.  Otherwise the fault is Timeout when the run timed out without
-    a crash, Crash for a crash record or an error exit, and else None.
-    """
-    workdir = tempfile.mkdtemp(prefix="bridge-py-")
-    try:
-        raw, returncode, timed_out = _POOL.run({
+    (each input's record or None, the run's fault).  No expected value is sent."""
+    with _workdirs(1) as [workdir]:
+        result = _POOL.run({
             "source": source,
             "function_name": function_name,
             "inputs": inputs,
@@ -282,23 +354,30 @@ def _execute(
             "timeout": timeout,
             "id": os.urandom(16).hex(),
         })
-    finally:
-        # Candidates rarely leave files, and rmdir of an empty directory is
-        # far cheaper than a tree walk.
-        try:
-            os.rmdir(workdir)
-        except OSError:
-            shutil.rmtree(workdir, ignore_errors=True)
+    return _judged(result, len(inputs))
 
+
+def _judged(
+    result: _ChildResult, count: int
+) -> Tuple[List[Optional[Dict[str, object]]], Optional[str]]:
+    """(each of `count` inputs' record or None, the run's fault) of a run.
+
+    An input's record is the one whose index names it; a `crash` record
+    stands for every input; a record that names no input counts for nothing.
+    A second record for an input is Tampered, and leaves every input without
+    a record.  Otherwise the fault is Timeout when the run timed out without
+    a crash, Crash for a crash record or an error exit, and else None.
+    """
+    raw, returncode, timed_out = result
     crash = next((rec for rec in raw if rec.get("kind") == "crash"), None)
     if crash is not None:
-        return [crash] * len(inputs), "Crash"
-    records: List[Optional[Dict[str, object]]] = [None] * len(inputs)
+        return [crash] * count, "Crash"
+    records: List[Optional[Dict[str, object]]] = [None] * count
     for rec in raw:
         index = rec.get("index")
-        if type(index) is int and 0 <= index < len(inputs):
+        if type(index) is int and 0 <= index < count:
             if records[index] is not None:
-                return [None] * len(inputs), "Tampered"
+                return [None] * count, "Tampered"
             records[index] = rec
     if timed_out:
         return records, "Timeout"
@@ -417,95 +496,18 @@ def check_contracts(
 # --- specification vacuity ---------------------------------------------------
 
 
-class _Mutator(ast.NodeTransformer):
-    """Flips comparison operators by `flips` and rewrites each return value
-    by `returns(old value)`.  Assert statements encode invariants and are
-    never mutated."""
-
-    def __init__(self, flips=None, returns=None):
-        self.flips = flips or {}
-        self.returns = returns
-
-    def visit_Assert(self, node: ast.Assert) -> ast.Assert:
-        return node
-
-    def visit_Compare(self, node: ast.Compare) -> ast.Compare:
-        self.generic_visit(node)
-        node.ops = [self.flips.get(type(op), type(op))() for op in node.ops]
-        return node
-
-    def visit_Return(self, node: ast.Return) -> ast.Return:
-        self.generic_visit(node)
-        if self.returns is not None:
-            node.value = self.returns(node.value)
-        return node
-
-
-def _plus(delta: int):
-    def build(old):
-        base = old if old is not None else ast.Constant(value=0)
-        return ast.BinOp(left=base, op=ast.Add(), right=ast.Constant(value=delta))
-
-    return build
-
-
-_NEGATE = {
-    ast.Eq: ast.NotEq,
-    ast.NotEq: ast.Eq,
-    ast.Lt: ast.GtE,
-    ast.LtE: ast.Gt,
-    ast.Gt: ast.LtE,
-    ast.GtE: ast.Lt,
-}
-
-_MIRROR = {
-    ast.Lt: ast.Gt,
-    ast.Gt: ast.Lt,
-    ast.LtE: ast.GtE,
-    ast.GtE: ast.LtE,
-}
-
-# each recipe's mutators, in order: the first that changes the source is used
-_RECIPES = {
-    "const-return-zero": [_Mutator(returns=lambda old: ast.Constant(value=0))],
-    "const-return-none": [_Mutator(returns=lambda old: ast.Constant(value=None))],
-    "negate-comparisons": [_Mutator(flips=_NEGATE)],
-    "mirror-comparisons": [_Mutator(flips=_MIRROR)],
-    "return-plus-one": [_Mutator(returns=_plus(1)), _Mutator(returns=_plus(2))],
-    "return-minus-one": [_Mutator(returns=_plus(-1)), _Mutator(returns=_plus(-2))],
-}
-
-
-def _mutate(source: str, function_name: str, mutator: _Mutator) -> str:
-    """The source with the function's body mutated; its decorators, and so
-    its contracts, are kept."""
-    tree = ast.parse(source)
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == function_name:
-            node.body = [mutator.visit(stmt) for stmt in node.body]
-            return ast.unparse(tree)
-    raise MutantError(f"candidate does not define a top-level function {function_name}")
-
-
 def build_mutants(source: str, function_name: str) -> List[Tuple[str, str]]:
-    """Build (name, source) mutants of the target function.
+    """Build (name, source) mutants of the target function, as the sandbox
+    server does for a vacuity check.
 
     A recipe whose mutator changes nothing falls back to the next one; a
-    problem with no constructible mutants at all raises MutantError.
+    problem with no constructible mutants at all, or a source too deep or too
+    large to rewrite, raises MutantError.
     """
-    original = ast.unparse(ast.parse(source))  # syntax errors surface here
-    built: List[Tuple[str, str]] = []
-    for name, mutators in _RECIPES.items():
-        for mutator in mutators:
-            mutated = _mutate(source, function_name, mutator)
-            if mutated != original:
-                built.append((name, mutated))
-                break
-    if not built:
-        raise MutantError(
-            f"no mutants constructible for function {function_name}"
-        )
-    return built
+    try:
+        return sandbox_server.build_mutants(source, function_name)
+    except sandbox_server.MutantBuildError as exc:
+        raise MutantError(str(exc)) from exc
 
 
 def vacuity_check(
@@ -524,7 +526,8 @@ def vacuity_check(
     is its run_tests outcome when the caller already has it, else it is run
     here.  Each mutant is rejected when a postcondition or invariant fires on
     at least one probe input.  A specification rejecting no mutants is
-    Vacuous.
+    Vacuous.  The sandbox server builds the mutants and runs each in its own
+    fork; a source it can build none from raises MutantError.
     """
     if reference is None:
         reference = run_tests(artifact_body, problem, timeout=timeout)
@@ -533,14 +536,21 @@ def vacuity_check(
             verdict="InconsistentSpec", mutants_total=0, mutants_rejected=0
         )
 
-    mutants = build_mutants(artifact_body, problem.function_name)
     probes = [test.parsed_inputs() for test in problem.tests]
     probes += _probes(problem, random_trials, seed)
+    with _workdirs(len(sandbox_server.RECIPES)) as workdirs:
+        names, results = _POOL.run_mutants({
+            "source": artifact_body,
+            "function_name": problem.function_name,
+            "inputs": probes,
+            "workdirs": workdirs,
+            "start": 0,
+            "timeout": timeout,
+            "id": os.urandom(16).hex(),
+        })
     details: List[Dict[str, object]] = []
-    for name, mutated_source in mutants:
-        records, fault = _execute(
-            mutated_source, problem.function_name, probes, timeout=timeout
-        )
+    for name, result in zip(names, results):
+        records, fault = _judged(result, len(probes))
         counts = _tally(records)
         if counts["crash"]:
             # mutation broke the module; a crash is not a contract rejection
@@ -563,7 +573,7 @@ def vacuity_check(
     rejected = sum(1 for mutant in details if mutant["rejected"])
     return VacuityReport(
         verdict="NonVacuous" if rejected else "Vacuous",
-        mutants_total=len(mutants),
+        mutants_total=len(names),
         mutants_rejected=rejected,
         mutants=tuple(details),
     )

@@ -1,17 +1,31 @@
 """The sandbox server that `bridge.pyexec` runs Python candidates in.
 
-Launched as `<python> -I -c <this file's text>`, possibly in a wrapper that
-cannot see the `bridge` package, so it imports the standard library only.  It
-writes a line saying whether it can serve, then reads one JSON request per
-line: `source`, `function_name`, `inputs` (one argument list per call),
-`workdir`, `timeout` and `id`.  It answers each with a line naming the
-forked grandchild's pid, then one with the records the grandchild emitted,
-its return code and whether it timed out, both echoing the id.  A record
-says what one call returned (clipped `repr` and `fingerprint`) or raised
-(`kind` and clipped `error`); a candidate that does not load gives one
-`crash` record.  Judging is left to `pyexec`.
+Launched as `<python> -I -S -c <this file's text>`, possibly in a wrapper
+that cannot see the `bridge` package, so it imports the standard library
+only; with no `site`, a candidate sees the standard library and the `deal`
+shim and nothing the host installed.  It writes a line saying whether it can
+serve, then reads one JSON request per line.
+
+A check carries `source`, `function_name`, `inputs` (one argument list per
+call), `workdir`, `timeout` and `id`.  The server forks a grandchild to run
+it and answers with a line naming the grandchild's pid, then one with the
+records the grandchild emitted, its return code and whether it timed out,
+both echoing the id.  A record says what one call returned (clipped `repr`
+and `fingerprint`) or raised (`kind` and clipped `error`); a candidate that
+does not load gives one `crash` record.
+
+A vacuity check carries `workdirs` (one per recipe) and `start` in place of
+`workdir`.  The server builds the mutants of `source` (see `build_mutants`)
+and answers with the names of all of them, or with an `error` when none can
+be built.  Then it runs each mutant from index `start` on as a check of its
+own, in `workdirs[index]`, with the two lines a check gets.  The build is
+deterministic, so a fresh server asked from `start` on continues where a
+lost one stopped.  Judging is left to `pyexec`.
 """
 
+# also builds the compiler's AST state before the ready line, which each
+# fork would otherwise build again in its first compile() (about 2 ms)
+import ast
 import hashlib
 import json
 import os
@@ -306,6 +320,106 @@ def grandchild(request, record_fd):
             os._exit(code)
 
 
+class Mutator(ast.NodeTransformer):
+    """Flips comparison operators by `flips` and rewrites each return value
+    by `returns(old value)`.  Assert statements encode invariants and are
+    never mutated."""
+
+    def __init__(self, flips=None, returns=None):
+        self.flips = flips or {}
+        self.returns = returns
+
+    def visit_Assert(self, node):
+        return node
+
+    def visit_Compare(self, node):
+        self.generic_visit(node)
+        node.ops = [self.flips.get(type(op), type(op))() for op in node.ops]
+        return node
+
+    def visit_Return(self, node):
+        self.generic_visit(node)
+        if self.returns is not None:
+            node.value = self.returns(node.value)
+        return node
+
+
+def plus(delta):
+    def build(old):
+        base = old if old is not None else ast.Constant(value=0)
+        return ast.BinOp(left=base, op=ast.Add(), right=ast.Constant(value=delta))
+
+    return build
+
+
+NEGATE = {
+    ast.Eq: ast.NotEq,
+    ast.NotEq: ast.Eq,
+    ast.Lt: ast.GtE,
+    ast.LtE: ast.Gt,
+    ast.Gt: ast.LtE,
+    ast.GtE: ast.Lt,
+}
+
+MIRROR = {
+    ast.Lt: ast.Gt,
+    ast.Gt: ast.Lt,
+    ast.LtE: ast.GtE,
+    ast.GtE: ast.LtE,
+}
+
+# each recipe's mutators, in order: the first that changes the source is used
+RECIPES = {
+    "const-return-zero": [Mutator(returns=lambda old: ast.Constant(value=0))],
+    "const-return-none": [Mutator(returns=lambda old: ast.Constant(value=None))],
+    "negate-comparisons": [Mutator(flips=NEGATE)],
+    "mirror-comparisons": [Mutator(flips=MIRROR)],
+    "return-plus-one": [Mutator(returns=plus(1)), Mutator(returns=plus(2))],
+    "return-minus-one": [Mutator(returns=plus(-1)), Mutator(returns=plus(-2))],
+}
+
+
+class MutantBuildError(Exception):
+    """No mutant of the target function can be built."""
+
+
+def mutate(source, function_name, mutator):
+    """The source with the function's body mutated; its decorators, and so
+    its contracts, are kept."""
+    tree = ast.parse(source)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == function_name:
+            node.body = [mutator.visit(stmt) for stmt in node.body]
+            return ast.unparse(tree)
+    raise MutantBuildError(
+        "candidate does not define a top-level function %s" % function_name)
+
+
+def build_mutants(source, function_name):
+    """Build (name, source) mutants of the target function.
+
+    A recipe whose mutator changes nothing falls back to the next one.  A
+    problem with no constructible mutants at all, or a source that does not
+    parse or is too deep or too large to rewrite, raises MutantBuildError.
+    """
+    try:
+        original = ast.unparse(ast.parse(source))
+        built = []
+        for name, mutators in RECIPES.items():
+            for mutator in mutators:
+                mutated = mutate(source, function_name, mutator)
+                if mutated != original:
+                    built.append((name, mutated))
+                    break
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise MutantBuildError(
+            "cannot build mutants: %s: %s" % (type(exc).__name__, exc)) from None
+    if not built:
+        raise MutantBuildError(
+            "no mutants constructible for function %s" % function_name)
+    return built
+
+
 def reply(out, obj):
     out.write(json.dumps(obj).encode("ascii") + b"\n")
     out.flush()
@@ -376,6 +490,18 @@ def serve(request, out):
     })
 
 
+def serve_mutants(request, out):
+    try:
+        built = build_mutants(request["source"], request["function_name"])
+    except MutantBuildError as exc:
+        reply(out, {"id": request["id"], "error": str(exc)})
+        return
+    reply(out, {"id": request["id"], "mutants": [name for name, _ in built]})
+    for index in range(request["start"], len(built)):
+        serve(dict(request, source=built[index][1],
+                   workdir=request["workdirs"][index]), out)
+
+
 def main():
     requests = sys.stdin.buffer
     out = sys.stdout.buffer
@@ -388,7 +514,8 @@ def main():
     sys.modules["deal"] = make_deal()  # built once, inherited by every fork
     reply(out, {"ready": True})
     for line in iter(requests.readline, b""):
-        serve(json.loads(line), out)
+        request = json.loads(line)
+        (serve_mutants if "start" in request else serve)(request, out)
 
 
 if __name__ == "__main__":

@@ -252,6 +252,24 @@ class TestReplayAndReport:
         assert err.startswith("error: ") and f"chains.jsonl:{len(lines)}: " in err
         assert not (runs_root / run_id / "report").exists()
 
+    @pytest.mark.parametrize("damage", ["cut", "array", "no-config"])
+    def test_damaged_manifest_is_one_error_line(self, capsys, finished_run, damage):
+        runs_root, run_id = finished_run
+        manifest = runs_root / run_id / "manifest.json"
+        manifest.write_text({
+            "cut": manifest.read_text(encoding="utf-8")[:100],
+            "array": "[]",
+            "no-config": '{"version": "0.1.0"}',
+        }[damage], encoding="utf-8")
+        for command in ("report", "replay"):
+            code, out, err = run_cli(
+                capsys, command, "--run", run_id, "--runs-root", str(runs_root))
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: {manifest}: ")
+        assert not (runs_root / run_id / "report").exists()
+        assert [path.name for path in runs_root.iterdir()] == [run_id]
+
     def test_report_unknown_run(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "report", "--run", "run-missing", "--runs-root", str(tmp_path))

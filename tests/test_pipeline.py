@@ -612,6 +612,20 @@ class TestSpecAnnotations:
         # the chain's own test run is vacuity's reference, not a second run
         assert len(runs) == 1
 
+    def test_candidate_too_deep_to_mutate_is_no_mutants(self, tmp_path):
+        # it compiles and passes, but rewriting its 400-term sum recurses
+        # past the limit; the run completes all the same
+        deep = "def addInts(a, b):\n    return a + b" + " + 0" * 400 + "\n"
+        result, _ = run_spec_chain(
+            tmp_path, [f"<python>\n{deep}</python>"],
+            spec_checks={"contracts": False, "vacuity": True, "random_trials": 5})
+        [chain] = result.chains
+        assert chain["final_status"] == "Success"
+        vacuity = chain["annotations"]["vacuity"]
+        assert set(vacuity) == {"type", "verdict", "error"}
+        assert vacuity["verdict"] == "NoMutants"
+        assert vacuity["error"].startswith("cannot build mutants: RecursionError: ")
+
     def test_checks_get_the_configured_python_timeout(self, tmp_path, monkeypatch):
         seen = []
 
@@ -794,7 +808,8 @@ class TestJudgementReuse:
                              if c["strategy"] == strategy)
             assert len(first) == 2
             assert first == second
-            assert first is not second and first[0] is not second[0]
+            # one encoded list per (body, pathway), held read-only by each chain
+            assert first is second
 
     def test_many_workers_judge_a_repeated_text_once(self, tmp_path, monkeypatch):
         calls = self.count_calls(monkeypatch, pyexec, "run_tests")

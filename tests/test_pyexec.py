@@ -53,13 +53,22 @@ PASSING_ADD = [
 
 
 def relayed(monkeypatch, records):
-    """Answer every check with `records` and a clean exit, with no server.
+    """Answer every check, and each mutant of a vacuity check, with `records`
+    and a clean exit, with no server.
 
-    Returns the list that the checks' requests are appended to.
+    Returns the list that the requests are appended to.
     """
     sent = []
+
+    def run_mutants(request):
+        sent.append(request)
+        names = [name for name, _ in pyexec.build_mutants(
+            request["source"], request["function_name"])]
+        return names, [(records, 0, False)] * len(names)
+
     monkeypatch.setattr(pyexec._POOL, "run",
                         lambda request: sent.append(request) or (records, 0, False))
+    monkeypatch.setattr(pyexec._POOL, "run_mutants", run_mutants)
     return sent
 
 
@@ -490,6 +499,75 @@ class TestSandboxServer:
         relayed(monkeypatch, PASSING_ADD)
         assert pyexec.run_tests(src, ADD).all_passed
 
+    def test_candidate_sees_no_site(self):
+        # pytest runs this test, so the host has it installed; the candidate
+        # must not see it, nor any site-packages directory
+        src = (
+            "import importlib.util, sys\n"
+            "import deal\n"
+            "def addInts(a, b):\n"
+            "    assert sys.flags.no_site == 1\n"
+            "    assert not any('site-packages' in entry for entry in sys.path)\n"
+            "    assert importlib.util.find_spec('pytest') is None\n"
+            "    assert not hasattr(deal, '__file__') and deal.ensure\n"
+            "    return a + b\n"
+        )
+        assert pyexec.run_tests(src, ADD).all_passed
+        assert pyexec.run_tests("import pytest\n" + GOOD_ADD, ADD).fault == "Crash"
+
+    def test_vacuity_check_survives_a_killed_server(self, monkeypatch):
+        # only the flipped comparisons reach the kill: each takes its server
+        # down on its first probe, and the mutants after it get a fresh one
+        src = (
+            "import os\n\n"
+            "def addInts(a, b):\n"
+            "    if a > 10**7:\n"
+            "        os.kill(os.getppid(), 9)\n"
+            "    return a + b\n"
+        )
+        started = []
+
+        class Counted(pyexec._Server):
+            def __init__(self):
+                started.append(self)
+                super().__init__()
+
+        pyexec.shutdown()
+        monkeypatch.setattr(pyexec, "_Server", Counted)
+        report = pyexec.vacuity_check(src, ADD, seed=3, random_trials=10)
+        ran = {"rejected": False, "rejections": 0, "pre_rejections": 0, "crashes": 0}
+        lost = dict(ran, crashes=1)
+        assert report.to_obj()["mutants"] == [
+            {"name": "const-return-zero", **ran},
+            {"name": "const-return-none", **ran},
+            {"name": "negate-comparisons", **lost},
+            {"name": "mirror-comparisons", **lost},
+            {"name": "return-plus-one", **ran},
+            {"name": "return-minus-one", **ran},
+        ]
+        assert report.verdict == "Vacuous"
+        assert len(started) == 3
+        assert [server.alive() for server in started] == [False, False, True]
+
+    def test_timed_out_mutant_keeps_its_own_timeout(self):
+        src = (
+            "def addInts(a, b):\n"
+            "    while a > 10**7:\n"
+            "        pass\n"
+            "    return a + b\n"
+        )
+        start = time.monotonic()
+        report = pyexec.vacuity_check(src, ADD, seed=3, random_trials=10, timeout=1.0)
+        elapsed = time.monotonic() - start
+        by_name = {m["name"]: m for m in report.mutants}
+        ran = {"rejected": False, "rejections": 0, "pre_rejections": 0, "crashes": 0}
+        for name in ("negate-comparisons", "mirror-comparisons"):
+            assert by_name[name] == dict(ran, name=name, crashes=1)
+        for name in ("return-plus-one", "return-minus-one"):
+            assert by_name[name] == dict(ran, name=name)
+        # each flipped mutant loops for its full second, none shares a deadline
+        assert 2.0 <= elapsed < 8.0
+
     def test_lost_server_gives_a_result_not_an_exception(self):
         server = pyexec._Server()
         server._proc.kill()
@@ -733,6 +811,15 @@ class TestServerProtocol:
         assert 1 not in killed_groups
         assert pyexec.run_tests(GOOD_ADD, ADD).fault == "Crash"
 
+    def test_lost_server_before_the_mutants_is_no_mutants(self, tmp_path, server_command):
+        script = tmp_path / "server.py"
+        script.write_text(MALFORMED_SERVER, encoding="utf-8")
+        server_command(f"{sys.executable} {script} wrong-id")
+        passing = pyexec.TestOutcome(total=3, passed=3)
+        with pytest.raises(MutantError, match="lost before it named the mutants"):
+            pyexec.vacuity_check(GOOD_ADD, ADD, reference=passing)
+        assert pyexec._POOL._idle == []
+
 
 class FixedGateway:
     """Answers every prompt with `text`; raises from round `fail_round` on."""
@@ -925,6 +1012,14 @@ class TestBuildMutants:
     def test_zero_constructible_raises(self):
         with pytest.raises(MutantError):
             pyexec.build_mutants("def f(x):\n    pass\n", "f")
+        with pytest.raises(MutantError, match="^cannot build mutants: SyntaxError: "):
+            pyexec.build_mutants("def f(x):\n    return (\n", "f")
+
+    def test_source_too_deep_to_rewrite_raises(self):
+        src = "def f(x):\n    return x" + " + 0" * 400 + "\n"
+        compile(src, "<deep>", "exec")
+        with pytest.raises(MutantError, match="^cannot build mutants: RecursionError: "):
+            pyexec.build_mutants(src, "f")
 
     def test_mutants_leave_other_functions_alone(self):
         src = (
@@ -975,6 +1070,26 @@ class TestVacuity:
             assert by_name[name] == {"name": name, "rejected": False, "rejections": 0,
                                      "pre_rejections": 0, "crashes": 1}
         assert report.verdict == "Vacuous"
+
+    def test_vacuity_check_is_one_request(self, monkeypatch):
+        sent = relayed(monkeypatch, PASSING_ADD)
+        reference = pyexec.run_tests(GOOD_ADD, ADD)
+        report = pyexec.vacuity_check(GOOD_ADD, ADD, seed=3, random_trials=10,
+                                      reference=reference)
+        [_, request] = sent
+        assert set(request) == {
+            "source", "function_name", "inputs", "workdirs", "start", "timeout", "id",
+        }
+        assert (request["source"], request["start"]) == (GOOD_ADD, 0)
+        assert len(request["inputs"]) == 13 and len(request["workdirs"]) == 6
+        assert report.mutants_total == 4
+
+    def test_failed_build_raises_the_server_error(self):
+        deep = "def addInts(a, b):\n    return a + b" + " + 0" * 400 + "\n"
+        reference = pyexec.run_tests(deep, ADD)
+        assert reference.all_passed
+        with pytest.raises(MutantError, match="^cannot build mutants: RecursionError: "):
+            pyexec.vacuity_check(deep, ADD, reference=reference)
 
     def test_self_violating_spec_is_inconsistent(self):
         src = (
