@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from . import literals
 from .errors import CorpusError
@@ -29,8 +28,7 @@ _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _PROBLEM_ID = re.compile(r"^[a-z0-9][a-z0-9-]*$")
 
 
-@dataclass(frozen=True)
-class UnitTest:
+class UnitTest(NamedTuple):
     """One input/output example. Inputs and expected are literal text."""
 
     inputs: Tuple[str, ...]
@@ -44,8 +42,7 @@ class UnitTest:
         return literals.parse_literal(self.expected)
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     id: str
     title: str
     statement: str
@@ -166,24 +163,11 @@ def _problem_from_obj(obj: dict, where: str) -> Problem:
             raise CorpusError(f"{where}: test {index} inputs must be literal text")
         if not isinstance(t["expected"], str):
             raise CorpusError(f"{where}: test {index} expected must be literal text")
-        tests.append(
-            UnitTest(
-                inputs=tuple(t["inputs"]),
-                expected=t["expected"],
-                order_insensitive=bool(t.get("order_insensitive", False)),
-            )
-        )
-    return Problem(
-        id=str(obj["id"]),
-        title=str(obj["title"]),
-        statement=str(obj["statement"]),
-        function_name=str(obj["function_name"]),
-        params=params,
-        return_type=str(obj["return_type"]),
-        tests=tuple(tests),
-        category=str(obj["category"]),
-        difficulty=obj.get("difficulty"),
-    )
+        order_insensitive = bool(t.get("order_insensitive", False))
+        tests.append(UnitTest(tuple(t["inputs"]), t["expected"], order_insensitive))
+    texts = ("id", "title", "statement", "function_name", "return_type", "category")
+    return Problem(**{name: str(obj[name]) for name in texts}, params=params,
+                   tests=tuple(tests), difficulty=obj.get("difficulty"))
 
 
 def load_manifest(path: Union[str, Path]) -> Tuple[Problem, ...]:

@@ -24,9 +24,8 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import metrics
 from .errors import ConfigError, GatewayError, ReplayMissError, TransportError
@@ -37,16 +36,14 @@ _MAX_ATTEMPTS = 3
 _BACKOFF_BASE = 0.5
 
 
-@dataclass(frozen=True)
-class DecodingParams:
+class DecodingParams(NamedTuple):
     temperature: float = 0.7
     max_tokens: int = 4096
     n_samples: int = 1
     seed: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class CompletionRecord:
+class CompletionRecord(NamedTuple):
     model_id: str
     prompt_digest: str
     sample_index: int
@@ -94,14 +91,8 @@ def _completions(
 ) -> List[CompletionRecord]:
     """Completion records from stored records, numbered in stored order."""
     return [
-        CompletionRecord(
-            model_id=model_id,
-            prompt_digest=digest,
-            sample_index=i,
-            text=rec["text"],
-            reported_tokens=rec.get("reported_tokens"),
-            latency=float(rec.get("latency", 0.0)),
-        )
+        CompletionRecord(model_id, digest, i, rec["text"], rec.get("reported_tokens"),
+                         float(rec.get("latency", 0.0)))
         for i, rec in enumerate(stored)
     ]
 

@@ -16,10 +16,9 @@ import shutil
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import literals
 from .corpus import Problem
@@ -46,8 +45,7 @@ class ErrorClass(Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     file: str
     line: int
     column: int
@@ -55,11 +53,10 @@ class Diagnostic:
     message: str
 
     def to_obj(self) -> dict:
-        return dict(vars(self))  # the fields, in order; asdict is far slower
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     status: VerifyStatus
     diagnostics: Tuple[Diagnostic, ...]
     error_classes: frozenset
@@ -67,18 +64,12 @@ class VerificationOutcome:
     elapsed: float
 
     def to_obj(self) -> dict:
-        return {
-            "type": "lean",
-            "status": self.status.value,
-            "diagnostics": [d.to_obj() for d in self.diagnostics],
-            "error_classes": sorted(c.value for c in self.error_classes),
-            "sorry_count": self.sorry_count,
-            "elapsed": self.elapsed,
-        }
+        return {"type": "lean", **self._asdict(), "status": self.status.value,
+                "diagnostics": [d.to_obj() for d in self.diagnostics],
+                "error_classes": sorted(c.value for c in self.error_classes)}
 
 
-@dataclass(frozen=True)
-class LeanProject:
+class LeanProject(NamedTuple):
     source_text: str
     digest: str
 
@@ -317,7 +308,7 @@ class LeanVerifier:
     ) -> LeanProject:
         """Assemble the candidate file's source and its digest; no disk I/O."""
         source = build_source(artifact_body, problem, include_tests, self.mathlib)
-        return LeanProject(source_text=source, digest=source_digest(source))
+        return LeanProject(source, source_digest(source))
 
     def check(self, project: LeanProject) -> VerificationOutcome:
         """Run the toolchain (or look up a transcript) and interpret output.
@@ -392,23 +383,12 @@ class LeanVerifier:
             status = VerifyStatus.VERIFIED
         else:
             status = VerifyStatus.COMPILE_FAILED
-        return VerificationOutcome(
-            status=status,
-            diagnostics=diags,
-            error_classes=classes,
-            sorry_count=sorries,
-            elapsed=elapsed,
-        )
+        return VerificationOutcome(status, diags, classes, sorries, elapsed)
 
 
 def _tool_missing(project: LeanProject) -> VerificationOutcome:
-    return VerificationOutcome(
-        status=VerifyStatus.TOOL_MISSING,
-        diagnostics=(),
-        error_classes=frozenset(),
-        sorry_count=count_sorries(project.source_text),
-        elapsed=0.0,
-    )
+    sorries = count_sorries(project.source_text)
+    return VerificationOutcome(VerifyStatus.TOOL_MISSING, (), frozenset(), sorries, 0.0)
 
 
 def _expired_output(exc: subprocess.TimeoutExpired) -> str:

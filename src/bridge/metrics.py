@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lean import ErrorClass
 
@@ -62,8 +61,7 @@ def chain_length(chain: dict) -> Tuple[int, int]:
     return words, tokens
 
 
-@dataclass(frozen=True)
-class LengthStats:
+class LengthStats(NamedTuple):
     """Mean completion lengths partitioned by chain outcome.
 
     A partition with no chains is absent (None), never reported as zero.
@@ -87,8 +85,7 @@ def _final_error_classes(chain: dict) -> List[str]:
     return list(outcome.get("error_classes", []))
 
 
-@dataclass(frozen=True)
-class MetricRow:
+class MetricRow(NamedTuple):
     """One report row per (model, strategy) within a run.
 
     lengths splits chains into Success and the rest (NoArtifact counts as a
@@ -176,14 +173,8 @@ class _Tally:
             successes=self.success[0],
             n_samples=n,
             pass_at={k: _mean_pass_at_k(counts, k) for k in k_ladder if k <= n},
-            lengths=LengthStats(
-                success_count=self.success[0],
-                failure_count=self.failure[0],
-                success_avg_words=avg(self.success, 1),
-                success_avg_tokens=avg(self.success, 2),
-                failure_avg_words=avg(self.failure, 1),
-                failure_avg_tokens=avg(self.failure, 2),
-            ),
+            lengths=LengthStats(self.success[0], self.failure[0], avg(self.success, 1),
+                                avg(self.success, 2), avg(self.failure, 1), avg(self.failure, 2)),
             errors={cls: Fraction(m, self.carriers) for cls, m in self.errors.items()},
             total_completions=self.completions,
         )

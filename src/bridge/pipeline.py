@@ -37,12 +37,10 @@ same round objects; chains.jsonl encodes each of those once.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import hashlib
 import json
 import re
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import MISSING, dataclass
+import threading
 from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -63,17 +61,11 @@ SUCCESS_PREDICATES = ("compile+guards", "compile-only")
 _NO_ARTIFACT_MESSAGE = "no artifact could be extracted from the completion"
 
 
-def _section(**defaults) -> dataclasses.Field:
-    """A config object whose keys, and their defaults, are the ones given."""
-    return dataclasses.field(default_factory=lambda: dict(defaults))
-
-
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
                dict: "an object"}
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(NamedTuple):
     """What one config value must be.  kind is its JSON kind (int an integer,
     float a number, dict an object, [kind] an array of that kind); among lists
     the allowed values, least and most bound it and it must exceed above, all
@@ -177,31 +169,40 @@ _RULES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+# each config section's keys and their defaults; RunConfig.from_obj merges a
+# given section over a fresh copy of them
+_SECTIONS = {
+    "decoding": {"temperature": 0.7, "max_tokens": 4096, "n_samples": 1, "seed": None},
+    "gateway": {"mode": "mock", "script": None, "archive_dir": None, "providers": {}},
+    "lean": {"command": None, "mathlib": False, "timeout": lean.DEFAULT_TIMEOUT,
+             "transcripts": None},
+    "python": {"timeout": pyexec.DEFAULT_TIMEOUT},
+    "success": {"lean": "compile+guards"},
+    "spec_checks": {"contracts": False, "vacuity": False, "cross_feedback": False,
+                    "trials": pyexec.DEFAULT_TRIALS,
+                    "random_trials": pyexec.DEFAULT_RANDOM_TRIALS},
+}
+
+
+class RunConfig(NamedTuple):
+    """A resolved run config; build it with from_obj or from_file, which
+    give every section a dict of its own."""
+
     corpus: str
     models: Tuple[str, ...]
     strategies: Tuple[str, ...]
     problems: Tuple[str, ...] = ()
-    decoding: Mapping = _section(temperature=0.7, max_tokens=4096, n_samples=1, seed=None)
+    decoding: Mapping = _SECTIONS["decoding"]
     mode: str = "ParallelPlusRetry"
     max_retries: int = 3
     temperature_grid: Tuple[float, ...] = ()
     parallelism: int = 4
     seed: int = 0
-    gateway: Mapping = _section(mode="mock", script=None, archive_dir=None, providers={})
-    lean: Mapping = _section(
-        command=None, mathlib=False, timeout=lean.DEFAULT_TIMEOUT, transcripts=None
-    )
-    python: Mapping = _section(timeout=pyexec.DEFAULT_TIMEOUT)
-    success: Mapping = _section(lean="compile+guards")
-    spec_checks: Mapping = _section(
-        contracts=False,
-        vacuity=False,
-        cross_feedback=False,
-        trials=pyexec.DEFAULT_TRIALS,
-        random_trials=pyexec.DEFAULT_RANDOM_TRIALS,
-    )
+    gateway: Mapping = _SECTIONS["gateway"]
+    lean: Mapping = _SECTIONS["lean"]
+    python: Mapping = _SECTIONS["python"]
+    success: Mapping = _SECTIONS["success"]
+    spec_checks: Mapping = _SECTIONS["spec_checks"]
     intersection_threshold: int = proofs.DEFAULT_THRESHOLD
     runs_root: str = "runs"
     k_ladder: Tuple[int, ...] = metrics.DEFAULT_K_LADDER
@@ -220,21 +221,18 @@ class RunConfig:
             obj = copy.deepcopy(dict(obj))
             for dotted, raw in overrides.items():
                 _apply_override(obj, dotted, raw)
-        fields = {field.name: field for field in dataclasses.fields(cls)}
-        given = {}
+        given = copy.deepcopy(_SECTIONS)
         for key, value in obj.items():
-            if key not in fields:
+            if key not in cls._fields:
                 raise ConfigError(f"unknown config key {key}")
-            section = fields[key].default_factory
-            if section is not MISSING and isinstance(value, dict):
-                defaults = section()
+            if key in _SECTIONS and isinstance(value, dict):
                 for name in value:
-                    if name not in defaults:
+                    if name not in _SECTIONS[key]:
                         raise ConfigError(f"unknown config key {key}.{name}")
-                value = {**defaults, **value}
+                value = {**given[key], **value}
             given[key] = tuple(value) if isinstance(value, list) else value
-        for key, field in fields.items():
-            if key not in given and field.default is field.default_factory is MISSING:
+        for key in cls._fields:
+            if key not in given and key not in cls._field_defaults:
                 raise ConfigError(f"config is missing required key {key}")
         config = cls(**given)
         for name, rule in _RULES.items():
@@ -259,7 +257,8 @@ class RunConfig:
         return cls.from_obj(obj, overrides)
 
     def to_obj(self) -> Dict:
-        out = dataclasses.asdict(self)
+        """The config as a JSON object, a deep copy the caller may change."""
+        out = copy.deepcopy(self._asdict())
         return {key: list(v) if isinstance(v, tuple) else v for key, v in out.items()}
 
     @property
@@ -291,7 +290,7 @@ class RunConfig:
         for index, temperature in enumerate(self.temperature_grid):
             seed = self.decoding_seed ^ index
             decoding = {**self.decoding, "temperature": temperature, "seed": seed}
-            point = dataclasses.replace(self, decoding=decoding, temperature_grid=())
+            point = self._replace(decoding=decoding, temperature_grid=())
             points.append((f"-t{index}", point))
         return points
 
@@ -351,8 +350,7 @@ def _claim_run_dir(root: Path, run_id: str) -> Path:
     return candidate
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """A finished run.  Its chains are read-only: chains that reach the same
     judgement or the same retry rounds hold the same dicts."""
 
@@ -516,7 +514,18 @@ def _final_artifact(chain: Dict) -> Optional[Dict]:
     return None
 
 
-def _claim(table: Dict, key: tuple) -> Tuple[Optional[Future], object]:
+class _Claim:
+    """A worker's claim on a table key: a lock it holds until it settles the
+    claim with a value or an error for every waiter."""
+
+    __slots__ = ("lock", "value", "error")
+
+    def __init__(self) -> None:
+        self.lock, self.value, self.error = threading.Lock(), None, None
+        self.lock.acquire()
+
+
+def _claim(table: Dict, key: tuple) -> Tuple[Optional[_Claim], object]:
     """(claim, None) when this worker is the first to miss table[key], which
     it then makes and settles; else (None, the value), waiting on a claim
     for its value, kept or not.
@@ -528,14 +537,20 @@ def _claim(table: Dict, key: tuple) -> Tuple[Optional[Future], object]:
     claim = None
     found = table.get(key)
     if found is None:
-        claim = Future()
+        claim = _Claim()
         found = table.setdefault(key, claim)
     if found is claim:
         return claim, None
-    return None, found.result() if isinstance(found, Future) else found
+    if not isinstance(found, _Claim):
+        return None, found
+    with found.lock:  # held by the claimant until it settles
+        pass
+    if found.error is not None:
+        raise found.error
+    return None, found.value
 
 
-def _settle(table: Dict, key: tuple, claim: Future, value=None, *, keep: bool = False,
+def _settle(table: Dict, key: tuple, claim: _Claim, value=None, *, keep: bool = False,
             error: Optional[BaseException] = None) -> None:
     """Give a claim's waiters its value, or its error; the value stays in the
     table when keep, else the claim is dropped and a later miss makes it again."""
@@ -543,10 +558,44 @@ def _settle(table: Dict, key: tuple, claim: Future, value=None, *, keep: bool = 
         table[key] = value
     else:
         del table[key]
-    if error is not None:
-        claim.set_exception(error)
-    else:
-        claim.set_result(value)
+    claim.value, claim.error = value, error
+    claim.lock.release()
+
+
+def _map_cells(run: Callable, cells: Sequence, parallelism: int) -> List:
+    """run(*cell) of every cell, in cell order, by `parallelism` threads that
+    take the cells in order.  Once a cell fails no thread takes another, and
+    when every thread has ended the earliest failed cell's error is raised."""
+    results: List = [None] * len(cells)
+    failed: Dict[int, BaseException] = {}
+    todo, lock = iter(enumerate(cells)), threading.Lock()
+
+    def take() -> Optional[Tuple[int, tuple]]:
+        with lock:
+            return None if failed else next(todo, None)
+
+    def work() -> None:
+        for at, cell in iter(take, None):
+            try:
+                results[at] = run(*cell)
+            except BaseException as exc:
+                with lock:
+                    failed[at] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(min(parallelism, len(cells)))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # interrupted: no thread takes another cell
+        failed[len(cells)] = exc
+        for thread in filter(threading.Thread.is_alive, threads):
+            thread.join()
+        raise
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 class Orchestrator:
@@ -566,17 +615,17 @@ class Orchestrator:
         self.gateway = gateway if gateway is not None else ModelGateway(**config.gateway)
         self.verifier = verifier if verifier is not None else LeanVerifier(**config.lean)
         # (backend, problem id, completion text) -> its reusable judgement, or
-        # the Future of a worker's claim while it judges the text
-        self._judged: Dict[tuple, Union[Future, _Judgement]] = {}
+        # a worker's claim while it judges the text
+        self._judged: Dict[tuple, Union[_Claim, _Judgement]] = {}
         # when the gateway answers by digest, the key of the rounds from a round
-        # on (see _chain_rounds) -> those rounds, or the Future of a claim
-        self._tails: Dict[tuple, Union[Future, _Rounds]] = {}
+        # on (see _chain_rounds) -> those rounds, or a worker's claim
+        self._tails: Dict[tuple, Union[_Claim, _Rounds]] = {}
         self._shares_tails = getattr(self.gateway, "answers_by_digest", False)
         # (body, pathway) -> the encoded theorems of a proof chain's final
         # artifact, one list that every such chain holds read-only
         self._theorem_sets: Dict[tuple, List[Dict]] = {}
         self._cell_params = config.decoding_params()
-        self._single_params = dataclasses.replace(self._cell_params, n_samples=1)
+        self._single_params = self._cell_params._replace(n_samples=1)
         self._max_rounds = 1 if config.mode == "ParallelOnly" else 1 + config.max_retries
         lean_source = partial(extract_artifacts, domain="code")
         python_source = partial(extract_artifacts, domain="spec")
@@ -663,12 +712,12 @@ class Orchestrator:
         # claimed; the round; its flags and reusability with those of the
         # retry that led to it; and that retry's cross_feedback, which belongs
         # to the round before
-        made: List[Tuple[Optional[Tuple[tuple, Future]], Dict, Dict[str, bool], bool,
+        made: List[Tuple[Optional[Tuple[tuple, _Claim]], Dict, Dict[str, bool], bool,
                          Optional[Dict]]] = []
-        claims: List[Tuple[tuple, Future]] = []  # dropped, with the error, if the walk raises
+        claims: List[Tuple[tuple, _Claim]] = []  # dropped, with the error, if the walk raises
         key = None
         if self._shares_tails:
-            key = (domain, problem.id, dataclasses.replace(record, sample_index=0))
+            key = (domain, problem.id, record._replace(sample_index=0))
         flags: Dict[str, bool] = {}
         reusable, cross_feedback, round_no, failed = True, None, 1, None
         try:
@@ -888,8 +937,7 @@ class Orchestrator:
         config = self.config
         cell_list = self.cells()
         try:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                nested = list(pool.map(lambda c: self._run_cell(*c), cell_list))
+            nested = _map_cells(self._run_cell, cell_list, config.parallelism)
         finally:
             # reaped servers put the sandbox's CPU time in RUSAGE_CHILDREN
             pyexec.shutdown()
@@ -1007,12 +1055,23 @@ def read_manifest(run_dir: Path) -> Dict:
 
 def write_report(run_dir: Path) -> Path:
     """Build the metrics report for an existing run directory, streaming its
-    chains.jsonl."""
+    chains.jsonl; ConfigError, and no report, when the chains it holds are
+    not as many as the manifest's chain_count."""
     chains_path = Path(run_dir) / "chains.jsonl"
     if not chains_path.exists():
         raise ConfigError(f"{run_dir} does not look like a run directory")
-    config = read_manifest(run_dir)["config"]
+    manifest = read_manifest(run_dir)
+    config, expected = manifest["config"], manifest.get("chain_count")
+
+    def counted() -> Iterator[Dict]:
+        count = 0
+        for count, chain in enumerate(_read_chains(chains_path), 1):
+            yield chain
+        if type(expected) is int and count != expected:
+            raise ConfigError(f"{chains_path} holds {count} chains, but manifest.json "
+                              f"records chain_count {expected}")
+
     ladder = config.get("k_ladder") or metrics.DEFAULT_K_LADDER
     report_dir = Path(run_dir) / "report"
-    metrics.emit_report(_read_chains(chains_path), config, report_dir, k_ladder=ladder)
+    metrics.emit_report(counted(), config, report_dir, k_ladder=ladder)
     return report_dir

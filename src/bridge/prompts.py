@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import Problem
 from .errors import NoArtifactError, TemplateError
@@ -52,16 +51,22 @@ STRATEGIES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class StrategyId:
+class _Strategy(NamedTuple):
     domain: str
     name: str
 
-    def __post_init__(self) -> None:
-        if self.domain not in STRATEGIES:
-            raise TemplateError(f"unknown domain {self.domain!r}")
-        if self.name not in STRATEGIES[self.domain]:
-            raise TemplateError(f"unknown strategy {self.domain}/{self.name}")
+
+class StrategyId(_Strategy):
+    """A known strategy; an unknown one is refused when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, domain: str, name: str) -> "StrategyId":
+        if domain not in STRATEGIES:
+            raise TemplateError(f"unknown domain {domain!r}")
+        if name not in STRATEGIES[domain]:
+            raise TemplateError(f"unknown strategy {domain}/{name}")
+        return super().__new__(cls, domain, name)
 
     @property
     def key(self) -> str:
@@ -80,8 +85,7 @@ def list_strategies() -> List[StrategyId]:
     return [StrategyId(domain, name) for domain in DOMAINS for name in STRATEGIES[domain]]
 
 
-@dataclass(frozen=True)
-class ExtractedArtifact:
+class ExtractedArtifact(NamedTuple):
     kind: str  # LeanSource or PythonSource
     body: str
     span: Tuple[int, int]  # character offsets into the completion

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 DEFAULT_THRESHOLD = 3
 
@@ -22,8 +21,7 @@ _TOP_LEVEL = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class TheoremCandidate:
+class TheoremCandidate(NamedTuple):
     name: str
     statement: str
     pathway: str
@@ -31,24 +29,16 @@ class TheoremCandidate:
     has_sorry: bool
 
     def to_obj(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "pathway": self.pathway,
-            "categories": sorted(self.categories),
-            "has_sorry": self.has_sorry,
-        }
+        return {**self._asdict(), "categories": sorted(self.categories)}
 
 
-@dataclass(frozen=True)
-class RobustTheorem:
+class RobustTheorem(NamedTuple):
     category: str
     name: str
     statement: str
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
+class IntersectionReport(NamedTuple):
     threshold: int
     pathways: Tuple[str, ...]
     common_concepts: Tuple[str, ...]

@@ -26,9 +26,8 @@ import sys
 import tempfile
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import literals, sandbox_server
 from .corpus import Problem, UnitTest
@@ -44,8 +43,7 @@ _ENV_ALLOW = ("PATH", "LANG", "LC_ALL", "PYTHONIOENCODING", "SYSTEMROOT")
 # run as `<python> -I -S -c <text>`, so that BRIDGE_PYTHON_CMD wrappers need no file
 _SERVER_SOURCE = Path(sandbox_server.__file__).read_text(encoding="utf-8")
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(NamedTuple):
     """Result of running a candidate against a problem's unit tests."""
 
     total: int
@@ -58,17 +56,11 @@ class TestOutcome:
         return self.fault is None and self.passed == self.total
 
     def to_obj(self) -> Dict[str, object]:
-        return {
-            "type": "python",
-            "total": self.total,
-            "passed": self.passed,
-            "failures": [dict(f) for f in self.failures],
-            "fault": self.fault,
-        }
+        return {"type": "python", **self._asdict(),
+                "failures": [dict(f) for f in self.failures]}
 
 
-@dataclass(frozen=True)
-class ContractReport:
+class ContractReport(NamedTuple):
     """Tally of contract activity over randomized trials."""
 
     trials: int
@@ -78,11 +70,10 @@ class ContractReport:
     faults: int
 
     def to_obj(self) -> Dict[str, object]:
-        return {"type": "contracts", **vars(self)}
+        return {"type": "contracts", **self._asdict()}
 
 
-@dataclass(frozen=True)
-class VacuityReport:
+class VacuityReport(NamedTuple):
     """Mutation-based check that a specification constrains behavior.
 
     verdict is one of Vacuous, NonVacuous, InconsistentSpec.
@@ -91,16 +82,10 @@ class VacuityReport:
     verdict: str
     mutants_total: int
     mutants_rejected: int
-    mutants: Tuple[Dict[str, object], ...] = field(default=())
+    mutants: Tuple[Dict[str, object], ...] = ()
 
     def to_obj(self) -> Dict[str, object]:
-        return {
-            "type": "vacuity",
-            "verdict": self.verdict,
-            "mutants_total": self.mutants_total,
-            "mutants_rejected": self.mutants_rejected,
-            "mutants": [dict(m) for m in self.mutants],
-        }
+        return {"type": "vacuity", **self._asdict(), "mutants": [dict(m) for m in self.mutants]}
 
 
 def _python_command() -> List[str]:
@@ -427,9 +412,7 @@ def run_tests(
             )
     if fault is None and any(f["reason"] == "exception" for f in failures):
         fault = "RuntimeError"
-    return TestOutcome(
-        total=len(problem.tests), passed=passed, failures=tuple(failures), fault=fault
-    )
+    return TestOutcome(len(problem.tests), passed, tuple(failures), fault)
 
 
 def gen_value(rng: random.Random, node: literals.TypeNode) -> object:
@@ -484,13 +467,7 @@ def check_contracts(
     if fault:
         # unattributed trouble counts against the candidate, not the contracts
         faults += trials - sum(counts.values())
-    return ContractReport(
-        trials=trials,
-        precondition_rejections=counts["pre"],
-        postcondition_violations=counts["post"],
-        invariant_violations=counts["inv"],
-        faults=faults,
-    )
+    return ContractReport(trials, counts["pre"], counts["post"], counts["inv"], faults)
 
 
 # --- specification vacuity ---------------------------------------------------
@@ -532,9 +509,7 @@ def vacuity_check(
     if reference is None:
         reference = run_tests(artifact_body, problem, timeout=timeout)
     if not reference.all_passed:
-        return VacuityReport(
-            verdict="InconsistentSpec", mutants_total=0, mutants_rejected=0
-        )
+        return VacuityReport("InconsistentSpec", 0, 0)
 
     probes = [test.parsed_inputs() for test in problem.tests]
     probes += _probes(problem, random_trials, seed)
@@ -571,9 +546,5 @@ def vacuity_check(
         )
 
     rejected = sum(1 for mutant in details if mutant["rejected"])
-    return VacuityReport(
-        verdict="NonVacuous" if rejected else "Vacuous",
-        mutants_total=len(names),
-        mutants_rejected=rejected,
-        mutants=tuple(details),
-    )
+    verdict = "NonVacuous" if rejected else "Vacuous"
+    return VacuityReport(verdict, len(names), rejected, tuple(details))

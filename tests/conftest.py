@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pathlib
 
@@ -22,7 +21,10 @@ def write_corpus(directory, *problems):
     """
     path = pathlib.Path(directory) / "corpus.jsonl"
     path.write_text(
-        "".join(json.dumps(dataclasses.asdict(p)) + "\n" for p in problems),
+        "".join(
+            json.dumps({**p._asdict(), "tests": [t._asdict() for t in p.tests]}) + "\n"
+            for p in problems
+        ),
         encoding="utf-8",
     )
     return str(path)

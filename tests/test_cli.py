@@ -252,6 +252,22 @@ class TestReplayAndReport:
         assert err.startswith("error: ") and f"chains.jsonl:{len(lines)}: " in err
         assert not (runs_root / run_id / "report").exists()
 
+    @pytest.mark.parametrize("keep", [30, 0], ids=["first-half", "empty"])
+    def test_report_refuses_fewer_chains_than_the_manifest(self, capsys, finished_run, keep):
+        runs_root, run_id = finished_run
+        chains = runs_root / run_id / "chains.jsonl"
+        lines = chains.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 60
+        # cut at a line boundary, so every line left is a whole chain
+        chains.write_bytes(b"".join(lines[:keep]))
+        code, out, err = run_cli(
+            capsys, "report", "--run", run_id, "--runs-root", str(runs_root))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {chains} holds {keep} chains")
+        assert err.endswith("records chain_count 60\n")
+        assert not (runs_root / run_id / "report").exists()
+
     @pytest.mark.parametrize("damage", ["cut", "array", "no-config"])
     def test_damaged_manifest_is_one_error_line(self, capsys, finished_run, damage):
         runs_root, run_id = finished_run

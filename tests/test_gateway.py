@@ -364,11 +364,14 @@ class TestLiveRetry:
 
 
 class TestLazyRequests:
-    def test_cli_import_leaves_requests_unloaded(self):
+    @pytest.mark.parametrize(
+        "module", ["requests", "dataclasses", "inspect", "concurrent.futures", "logging"])
+    def test_cli_import_leaves_requests_unloaded(self, module):
         # mock and replay runs never reach the network, so importing the
-        # CLI must not pay for importing requests
+        # CLI must not pay for importing requests; nor for dataclasses and
+        # inspect, or concurrent.futures and logging, which bridge does not use
         src = str(Path(bridge.__file__).resolve().parent.parent)
-        code = "import sys, bridge.cli; print('requests' in sys.modules)"
+        code = f"import sys, bridge.cli; print({module!r} in sys.modules)"
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": src},

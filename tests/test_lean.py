@@ -164,10 +164,8 @@ class TestBuildSource:
 
     def test_unencodable_literal_names_the_test(self, by_id):
         problem = by_id["climbing-stairs"]
-        import dataclasses
-
         bad = problem.tests[0].__class__(inputs=("1.5",), expected="2")
-        broken = dataclasses.replace(problem, tests=(bad,))
+        broken = problem._replace(tests=(bad,))
         # guard blocks are cached per problem; the failure must not be
         for _ in range(2):
             with pytest.raises(CorpusError) as err:

@@ -1,12 +1,13 @@
-import dataclasses
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import pytest
 
 from bridge import metrics, pipeline, proofs, pyexec
 from bridge.corpus import Problem, UnitTest
-from bridge.errors import ConfigError
+from bridge.errors import ConfigError, GatewayError
 from bridge.gateway import CompletionRecord, ModelGateway, prompt_digest
 from bridge.lean import LeanVerifier, build_source, source_digest
 from bridge.pipeline import Orchestrator, RunConfig, execute, write_report
@@ -261,11 +262,10 @@ class TestRunConfig:
     def test_every_key_has_one_rule(self):
         """A new key cannot skip the load check: the rule table names every
         field and section key, and nothing else."""
-        keys = set()
-        for field in dataclasses.fields(RunConfig):
-            keys.add(field.name)
-            if field.default_factory is not dataclasses.MISSING:
-                keys.update(f"{field.name}.{key}" for key in field.default_factory())
+        keys = set(RunConfig._fields)
+        for name, default in RunConfig._field_defaults.items():
+            if isinstance(default, dict):
+                keys.update(f"{name}.{key}" for key in default)
         assert set(pipeline._RULES) == keys
 
     def test_numbers_kept_as_given(self):
@@ -683,7 +683,7 @@ class TestPythonCheckReuse:
 
     def test_same_body_on_two_problems_checked_twice(self, tmp_path, monkeypatch):
         calls = self.count_calls(monkeypatch)
-        again = dataclasses.replace(ADD, id="add-ints-again")
+        again = ADD._replace(id="add-ints-again")
         config = make_config(tmp_path, corpus=write_corpus(tmp_path, ADD, again))
         orch = Orchestrator(config, gateway=LadderGateway([GOOD_PY]),
                             verifier=LeanVerifier(transcripts={}))
@@ -1087,6 +1087,67 @@ class TestRunAssembly:
                          verifier=LeanVerifier(transcripts={}))
 
 
+class FailingGateway:
+    """A provider that is down: every request raises, and is counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete_n(self, model_id, prompt, params):
+        self.calls += 1
+        raise GatewayError("provider is down")
+
+
+class TestCellPool:
+    def mini_replay(self, tmp_path, parallelism):
+        return RunConfig.from_file("fixtures/configs/mini_replay.json", {
+            "runs_root": json.dumps(str(tmp_path / "runs")), "parallelism": str(parallelism)})
+
+    def test_failed_cell_stops_the_run(self, tmp_path):
+        gateway = FailingGateway()
+        orch = Orchestrator(self.mini_replay(tmp_path, 1), gateway=gateway)
+        assert len(orch.cells()) == 12
+        with pytest.raises(GatewayError, match="provider is down"):
+            orch.run()
+        assert gateway.calls == 1
+        assert not (tmp_path / "runs").exists()
+
+    def test_each_worker_stops_at_a_failure(self, tmp_path):
+        gateway = FailingGateway()
+        orch = Orchestrator(self.mini_replay(tmp_path, 2), gateway=gateway)
+        with pytest.raises(GatewayError):
+            orch.run()
+        assert gateway.calls <= 2
+
+    def test_earliest_failed_cell_is_raised(self):
+        later_failed, later_thread = threading.Event(), []
+
+        def run(index):
+            if index == 1:
+                later_thread.append(threading.current_thread())
+                later_failed.set()
+                raise ValueError("cell 1")
+            if index == 0:
+                # fail only once cell 1's worker has failed and ended
+                assert later_failed.wait(5)
+                later_thread[0].join(5)
+                raise ValueError("cell 0")
+            return index
+
+        with pytest.raises(ValueError, match="cell 0"):
+            pipeline._map_cells(run, [(i,) for i in range(6)], 2)
+        assert not later_thread[0].is_alive()
+
+    def test_results_keep_cell_order(self):
+        def run(index):
+            time.sleep((index * 7 % 5) / 1000)
+            return index
+
+        cells = [(i,) for i in range(20)]
+        assert pipeline._map_cells(run, cells, 3) == list(range(20))
+        assert pipeline._map_cells(run, [], 3) == []
+
+
 class TestSweep:
     def config(self, tmp_path, **over):
         # no transcripts, so each chain stops at its first Lean check
@@ -1272,6 +1333,53 @@ class TestReadChains:
         read = self.assert_report_as_decoded(tmp_path, result.run_dir,
                                              result.manifest["config"])
         assert len(read) == len(result.chains)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chain_writer_and_reader_are_inverses(self, tmp_path, seed):
+        """Chains written as Orchestrator.run writes them read back equal,
+        each line the chain's canonical JSON, with rounds shared between
+        chains or not and texts that mimic a line's end."""
+        rng = random.Random(seed)
+        texts = ["plain answer", 'x,"sample_index":3,"strategy":"code/direct"}',
+                 ',"sample_index":', '"strategy"', 'tail "strategy":"spec/direct"}\n',
+                 "back\\slash ,\"sample_index\":0"]
+
+        def round_obj(number):
+            return {"round": number, "prompt_digest": f"{rng.getrandbits(64):016x}",
+                    "completion": {"text": rng.choice(texts), "reported_tokens": None,
+                                   "latency": 0.0},
+                    "artifact": None, "words": rng.randint(0, 9), "tokens": 4,
+                    "outcome": rng.choice([None, {"type": "python", "fault": None}])}
+
+        shared = [round_obj(2) for _ in range(3)]
+        chains = []
+        for problem in ("p-a", "p-b"):
+            for strategy in ("code/direct", "spec/direct"):
+                for model in ("m-1", "m-2"):
+                    for sample in range(rng.randint(1, 4)):
+                        if sample and rng.random() < 0.5:  # a shared chain's copy
+                            chains.append({**chains[-1], "sample_index": sample})
+                            continue
+                        rounds = [round_obj(1)] + rng.sample(shared, rng.randint(0, 2))
+                        chains.append({
+                            "problem": problem, "strategy": strategy, "model": model,
+                            "sample_index": sample, "rounds": rounds,
+                            "final_status": rng.choice(["Success", "Failure", "NoArtifact"]),
+                            "annotations": {"note": rng.choice(texts)},
+                        })
+        encoded = {}
+
+        def encode_round(round_obj):
+            text = encoded.get(id(round_obj))
+            if text is None:
+                text = encoded[id(round_obj)] = pipeline._canonical(round_obj)
+            return text
+
+        lines = [pipeline._chain_line(chain, encode_round) for chain in chains]
+        assert lines == [pipeline._canonical(chain) for chain in chains]
+        path = tmp_path / "chains.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert list(pipeline._read_chains(path)) == chains
 
     @pytest.mark.parametrize("last, wrong", [
         (pipeline._canonical(report_chain(2))[:-40], "not a JSON line"),
