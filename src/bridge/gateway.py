@@ -166,14 +166,13 @@ def _default_transport(
         )
     try:
         body = resp.json()
-        usage = body.get("usage", {})
+        choices = body["choices"]  # a TypeError when the body is no object
+        usage = body.get("usage") or {}
         per_choice = None
-        if usage.get("completion_tokens") is not None and body.get("choices"):
-            per_choice = int(usage["completion_tokens"]) // len(body["choices"])
-        return [
-            (choice["message"]["content"], per_choice) for choice in body["choices"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        if usage.get("completion_tokens") is not None and choices:
+            per_choice = int(usage["completion_tokens"]) // len(choices)
+        return [(choice["message"]["content"], per_choice) for choice in choices]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GatewayError(f"malformed completion response: {exc}") from None
 
 

@@ -7,10 +7,11 @@ check the server forks a grandchild in its own session, which installs a
 write-blocking audit hook and calls the candidate on the inputs it was sent,
 in a fresh work directory.  The server kills the grandchild's process group
 on timeout or past the output cap, reaps it, and relays one record per call.
-A vacuity check is one request: the server builds the mutants and forks each
-as a check of its own.  Forking in the server keeps `fork` out of the
-threaded orchestrator.  Expected values never leave this process: the
-verdict compares their fingerprints here.
+Every check is one request, whose programs are the candidate itself or, for
+a vacuity check, the mutants the server builds from it and forks one by one.
+Forking in the server keeps `fork` out of the threaded orchestrator.
+Expected values never leave this process: the verdict compares their
+fingerprints here.
 """
 
 from __future__ import annotations
@@ -131,10 +132,7 @@ class _Server:
             server_end.close()
         self._lines = self._sock.makefile("rb")
         self._pid: Optional[int] = None  # the grandchild of the request in flight
-        try:
-            ready = self._line()
-        except OSError:
-            ready = {}
+        ready = self._line()
         if ready.get("ready") is not True:
             self.close()
             detail = ready.get("error") or "it exited or wrote no ready line"
@@ -144,66 +142,56 @@ class _Server:
         return self._proc.poll() is None
 
     def _line(self) -> Dict[str, object]:
-        """The server's next line; {} at EOF or for anything but a JSON object."""
+        """The server's next line; {} at EOF, on a lost socket, or for
+        anything but a JSON object."""
         try:
             obj = json.loads(self._lines.readline())
-        except ValueError:
+        except (OSError, ValueError):
             return {}
         return obj if isinstance(obj, dict) else {}
 
-    def run(self, request: Dict[str, object]) -> _ChildResult:
-        """One check's result; a lost server's is a crash."""
-        try:
-            self._send(request)
-        except OSError:
-            pass
-        return self._result(request["id"])
-
-    def run_mutants(
+    def run(
         self, request: Dict[str, object], results: List[_ChildResult]
-    ) -> List[str]:
-        """Ask for a vacuity check's mutants from request["start"] on and
-        append each one's result to `results`, up to one that loses the
-        server; the names of all the mutants.  MutantError when the server
-        can build none, or is lost before it names them."""
+    ) -> List[Optional[str]]:
+        """Send a request and append each program's result from
+        request["start"] on to `results`, up to one that loses the server;
+        the names of all the programs, None for a check's one.  A lost
+        check is a crash; MutantError when the server can build no mutants,
+        or is lost before it names them."""
         token = request["id"]
         try:
-            self._send(request)
-            header = self._line()
+            self._sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
         except OSError:
-            header = {}
-        names = header.get("mutants")
-        if header.get("id") == token and isinstance(header.get("error"), str):
-            raise MutantError(header["error"])
-        if (
-            header.get("id") != token
-            or not isinstance(names, list)
-            or not all(isinstance(name, str) for name in names)
-        ):
-            # as a lost check is a crash rather than an abort, so is this
-            self.close()
-            raise MutantError("sandbox server lost before it named the mutants")
+            pass
+        names = [None]
+        if request["mutants"]:
+            header = self._line()
+            names = header.get("mutants")
+            if header.get("id") == token and isinstance(header.get("error"), str):
+                raise MutantError(header["error"])
+            if (
+                header.get("id") != token
+                or not isinstance(names, list)
+                or not all(isinstance(name, str) for name in names)
+            ):
+                # as a lost check is a crash rather than an abort, so is this
+                self.close()
+                raise MutantError("sandbox server lost before it named the mutants")
         for _ in range(request["start"], len(names)):
             results.append(self._result(token))
             if not self.alive():
                 break
         return names
 
-    def _send(self, request: Dict[str, object]) -> None:
-        self._sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
-
     def _result(self, token: object) -> _ChildResult:
         """The pid line and the result line of the check in flight."""
         reply: Dict[str, object] = {}
-        try:
-            started = self._line()
-            pid = started.get("pid")
-            # a pid of 0 or 1 would make killpg signal far more than a candidate
-            if started.get("id") == token and type(pid) is int and pid > 1:
-                self._pid = pid
-                reply = self._line()
-        except OSError:
-            pass
+        started = self._line()
+        pid = started.get("pid")
+        # a pid of 0 or 1 would make killpg signal far more than a candidate
+        if started.get("id") == token and type(pid) is int and pid > 1:
+            self._pid = pid
+            reply = self._line()
         result = _relayed(reply, token)
         if result is None:
             # the server died mid-request, most likely killed by the
@@ -250,41 +238,36 @@ class _ServerPool:
         self._lock = threading.Lock()
         self._idle: List[_Server] = []
 
-    @contextmanager
-    def _lease(self) -> Iterator[_Server]:
-        """An idle server, or a new one; it goes back to the idle list if it
-        is still alive when the caller is done."""
-        server = None
+    def _take(self) -> _Server:
+        """An idle server that is still alive, or a new one."""
         with self._lock:
-            while self._idle and server is None:
+            while self._idle:
                 server = self._idle.pop()
-                if not server.alive():
-                    server.close()
-                    server = None
-        if server is None:
-            server = _Server()
-        try:
-            yield server
-        except BaseException:
-            server.close()
-            raise
-        if server.alive():
-            with self._lock:
-                self._idle.append(server)
+                if server.alive():
+                    return server
+                server.close()
+        return _Server()
 
-    def run(self, request: Dict[str, object]) -> _ChildResult:
-        with self._lease() as server:
-            return server.run(request)
-
-    def run_mutants(
+    def run(
         self, request: Dict[str, object]
-    ) -> Tuple[List[str], List[_ChildResult]]:
-        """The names of a vacuity check's mutants and each one's result.
-        The mutants after one that loses its server are asked of another."""
+    ) -> Tuple[List[Optional[str]], List[_ChildResult]]:
+        """The names of a request's programs and each one's result.  The
+        programs after one that loses its server are asked of another; a
+        server still alive goes back to the idle list."""
         results: List[_ChildResult] = []
         while True:
-            with self._lease() as server:
-                names = server.run_mutants(request, results)
+            server = self._take()
+            try:
+                names = server.run(request, results)
+            except MutantError:
+                raise  # a lost server is closed; one that built no mutants is in step
+            except BaseException:
+                server.close()
+                raise
+            finally:
+                if server.alive():
+                    with self._lock:
+                        self._idle.append(server)
             if len(results) >= len(names):
                 return names, results
             request = dict(request, start=len(results), id=os.urandom(16).hex())
@@ -326,20 +309,30 @@ def _workdirs(count: int) -> Iterator[List[str]]:
 
 
 def _execute(
-    source: str, function_name: str, inputs: List[List[object]], *, timeout: float
-) -> Tuple[List[Optional[Dict[str, object]]], Optional[str]]:
-    """Call the candidate on each argument list in a fresh work directory:
-    (each input's record or None, the run's fault).  No expected value is sent."""
-    with _workdirs(1) as [workdir]:
-        result = _POOL.run({
+    source: str,
+    function_name: str,
+    inputs: List[List[object]],
+    *,
+    timeout: float,
+    mutants: bool = False,
+) -> List[Tuple[Optional[str], List[Optional[Dict[str, object]]], Optional[str]]]:
+    """Call the candidate, or with `mutants` each of its mutants, on each
+    argument list in a fresh work directory: per program, its name (None
+    for the candidate), each input's record or None, and the run's fault.
+    No expected value is sent."""
+    with _workdirs(len(sandbox_server.RECIPES) if mutants else 1) as workdirs:
+        names, results = _POOL.run({
             "source": source,
             "function_name": function_name,
             "inputs": inputs,
-            "workdir": workdir,
             "timeout": timeout,
+            "workdirs": workdirs,
+            "start": 0,
             "id": os.urandom(16).hex(),
+            "mutants": mutants,
         })
-    return _judged(result, len(inputs))
+    return [(name, *_judged(result, len(inputs)))
+            for name, result in zip(names, results)]
 
 
 def _judged(
@@ -386,7 +379,7 @@ def run_tests(
     timeout: float = DEFAULT_TIMEOUT,
 ) -> TestOutcome:
     """Execute the candidate against the problem's unit tests."""
-    records, fault = _execute(
+    [(_, records, fault)] = _execute(
         artifact_body, problem.function_name,
         [test.parsed_inputs() for test in problem.tests], timeout=timeout,
     )
@@ -458,7 +451,7 @@ def check_contracts(
     timeout: float = 30.0,
 ) -> ContractReport:
     """Probe contract activity by calling the candidate on random inputs."""
-    records, fault = _execute(
+    [(_, records, fault)] = _execute(
         artifact_body, problem.function_name, _probes(problem, trials, seed),
         timeout=timeout,
     )
@@ -471,20 +464,6 @@ def check_contracts(
 
 
 # --- specification vacuity ---------------------------------------------------
-
-
-def build_mutants(source: str, function_name: str) -> List[Tuple[str, str]]:
-    """Build (name, source) mutants of the target function, as the sandbox
-    server does for a vacuity check.
-
-    A recipe whose mutator changes nothing falls back to the next one; a
-    problem with no constructible mutants at all, or a source too deep or too
-    large to rewrite, raises MutantError.
-    """
-    try:
-        return sandbox_server.build_mutants(source, function_name)
-    except sandbox_server.MutantBuildError as exc:
-        raise MutantError(str(exc)) from exc
 
 
 def vacuity_check(
@@ -513,19 +492,10 @@ def vacuity_check(
 
     probes = [test.parsed_inputs() for test in problem.tests]
     probes += _probes(problem, random_trials, seed)
-    with _workdirs(len(sandbox_server.RECIPES)) as workdirs:
-        names, results = _POOL.run_mutants({
-            "source": artifact_body,
-            "function_name": problem.function_name,
-            "inputs": probes,
-            "workdirs": workdirs,
-            "start": 0,
-            "timeout": timeout,
-            "id": os.urandom(16).hex(),
-        })
     details: List[Dict[str, object]] = []
-    for name, result in zip(names, results):
-        records, fault = _judged(result, len(probes))
+    for name, records, fault in _execute(
+        artifact_body, problem.function_name, probes, timeout=timeout, mutants=True
+    ):
         counts = _tally(records)
         if counts["crash"]:
             # mutation broke the module; a crash is not a contract rejection
@@ -547,4 +517,4 @@ def vacuity_check(
 
     rejected = sum(1 for mutant in details if mutant["rejected"])
     verdict = "NonVacuous" if rejected else "Vacuous"
-    return VacuityReport(verdict, len(names), rejected, tuple(details))
+    return VacuityReport(verdict, len(details), rejected, tuple(details))

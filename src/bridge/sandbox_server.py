@@ -6,21 +6,19 @@ only; with no `site`, a candidate sees the standard library and the `deal`
 shim and nothing the host installed.  It writes a line saying whether it can
 serve, then reads one JSON request per line.
 
-A check carries `source`, `function_name`, `inputs` (one argument list per
-call), `workdir`, `timeout` and `id`.  The server forks a grandchild to run
-it and answers with a line naming the grandchild's pid, then one with the
-records the grandchild emitted, its return code and whether it timed out,
-both echoing the id.  A record says what one call returned (clipped `repr`
-and `fingerprint`) or raised (`kind` and clipped `error`); a candidate that
-does not load gives one `crash` record.
-
-A vacuity check carries `workdirs` (one per recipe) and `start` in place of
-`workdir`.  The server builds the mutants of `source` (see `build_mutants`)
-and answers with the names of all of them, or with an `error` when none can
-be built.  Then it runs each mutant from index `start` on as a check of its
-own, in `workdirs[index]`, with the two lines a check gets.  The build is
-deterministic, so a fresh server asked from `start` on continues where a
-lost one stopped.  Judging is left to `pyexec`.
+A request carries `source`, `function_name`, `inputs` (one argument list per
+call), `timeout`, `workdirs`, `start`, `id` and `mutants`.  Its programs are
+the source itself, or with `mutants` the source's mutants (see
+`build_mutants`); the server then first answers with the names of all of
+them, or with an `error` when none can be built.  It runs each program from
+index `start` on in a forked grandchild, in `workdirs[index]`, and answers
+with a line naming the grandchild's pid, then one with the records the
+grandchild emitted, its return code and whether it timed out, each echoing
+the id.  A record says what one call returned (clipped `repr` and
+`fingerprint`) or raised (`kind` and clipped `error`); a candidate that does
+not load gives one `crash` record.  The build is deterministic, so a fresh
+server asked from `start` on continues where a lost one stopped.  Judging is
+left to `pyexec`.
 """
 
 # also builds the compiler's AST state before the ready line, which each
@@ -425,7 +423,8 @@ def reply(out, obj):
     out.flush()
 
 
-def serve(request, out):
+def fork(request, out):
+    """Run one program in a grandchild and relay its result."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -490,16 +489,19 @@ def serve(request, out):
     })
 
 
-def serve_mutants(request, out):
-    try:
-        built = build_mutants(request["source"], request["function_name"])
-    except MutantBuildError as exc:
-        reply(out, {"id": request["id"], "error": str(exc)})
-        return
-    reply(out, {"id": request["id"], "mutants": [name for name, _ in built]})
-    for index in range(request["start"], len(built)):
-        serve(dict(request, source=built[index][1],
-                   workdir=request["workdirs"][index]), out)
+def serve(request, out):
+    sources = [request["source"]]
+    if request["mutants"]:
+        try:
+            built = build_mutants(request["source"], request["function_name"])
+        except MutantBuildError as exc:
+            reply(out, {"id": request["id"], "error": str(exc)})
+            return
+        reply(out, {"id": request["id"], "mutants": [name for name, _ in built]})
+        sources = [source for _, source in built]
+    for index in range(request["start"], len(sources)):
+        fork(dict(request, source=sources[index],
+                  workdir=request["workdirs"][index]), out)
 
 
 def main():
@@ -514,8 +516,7 @@ def main():
     sys.modules["deal"] = make_deal()  # built once, inherited by every fork
     reply(out, {"ready": True})
     for line in iter(requests.readline, b""):
-        request = json.loads(line)
-        (serve_mutants if "start" in request else serve)(request, out)
+        serve(json.loads(line), out)
 
 
 if __name__ == "__main__":

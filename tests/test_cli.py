@@ -182,7 +182,8 @@ class TestUnverifiedWarning:
         assert code == 0, err
         assert out.startswith("run-") and "warning" not in out
         chains = [json.loads(line) for line in (
-            tmp_path / "runs" / out.split()[0] / "chains.jsonl").open()]
+            tmp_path / "runs" / out.split()[0] / "chains.jsonl").read_text(
+                encoding="utf-8").splitlines()]
         unverified = [c for c in chains if c["annotations"].get("lean_unavailable")]
         # NoArtifact chains never reach a check, so not all 60 are counted
         assert len(unverified) == 54

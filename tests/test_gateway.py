@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from bridge.gateway import (
     CompletionRecord,
     DecodingParams,
     ModelGateway,
+    _default_transport,
     count_tokens,
     prompt_digest,
 )
@@ -379,3 +381,90 @@ class TestLazyRequests:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class _Provider(BaseHTTPRequestHandler):
+    """Answers every POST with the server's scripted (status, body)."""
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        self.server.requests.append(
+            (self.headers["Authorization"], json.loads(self.rfile.read(length))))
+        status, body = self.server.reply
+        data = json.dumps(body).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def provider(monkeypatch):
+    """An OpenAI-style endpoint on 127.0.0.1, served from a thread of this
+    process; set its `reply` to script the next answer."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # no proxy may stand between
+    server = HTTPServer(("127.0.0.1", 0), _Provider)
+    server.requests = []
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    server.endpoint = "http://127.0.0.1:%d/v1/chat/completions" % server.server_port
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def choices(*texts):
+    return [{"message": {"content": text}} for text in texts]
+
+
+class TestHttpTransport:
+    """`_default_transport` against a loopback provider; nothing leaves the host."""
+
+    P2 = DecodingParams(temperature=0.7, max_tokens=256, n_samples=2, seed=5)
+
+    def complete(self, provider, monkeypatch):
+        monkeypatch.setenv("BRIDGE_ACME_KEY", "k-local")
+        providers = {"m": {"provider": "acme", "endpoint": provider.endpoint}}
+        return ModelGateway("live", providers=providers).complete_n("m", "p", self.P2)
+
+    def test_reply_with_usage_gives_per_choice_tokens(self, provider, monkeypatch):
+        provider.reply = 200, {"choices": choices("a", "b"),
+                               "usage": {"completion_tokens": 10}}
+        recs = self.complete(provider, monkeypatch)
+        assert [(r.text, r.reported_tokens) for r in recs] == [("a", 5), ("b", 5)]
+        [(auth, payload)] = provider.requests
+        assert auth == "Bearer k-local"
+        assert payload == {"model": "m", "messages": [{"role": "user", "content": "p"}],
+                           "temperature": 0.7, "max_tokens": 256, "n": 2, "seed": 5}
+
+    def test_null_usage_gives_no_token_count(self, provider, monkeypatch):
+        provider.reply = 200, {"choices": choices("a", "b"), "usage": None}
+        recs = self.complete(provider, monkeypatch)
+        assert [(r.text, r.reported_tokens) for r in recs] == [("a", None), ("b", None)]
+
+    @pytest.mark.parametrize("status", [429, 500])
+    def test_throttled_or_failing_provider_is_a_transport_error(self, provider, status):
+        provider.reply = status, {"error": "busy"}
+        with pytest.raises(TransportError, match=f"returned HTTP {status}"):
+            _default_transport(provider.endpoint, "k", "m", "p", P, 1)
+
+    def test_refused_request_is_not_retried(self, provider):
+        provider.reply = 400, {"error": "bad request"}
+        with pytest.raises(GatewayError, match="returned HTTP 400") as exc:
+            _default_transport(provider.endpoint, "k", "m", "p", P, 1)
+        assert not isinstance(exc.value, TransportError)
+
+    @pytest.mark.parametrize("body", [
+        [{"choices": choices("a")}],
+        {"usage": {"completion_tokens": 3}},
+    ], ids=["array-body", "no-choices"])
+    def test_malformed_reply_is_a_gateway_error(self, provider, body):
+        provider.reply = 200, body
+        with pytest.raises(GatewayError, match="^malformed completion response: "):
+            _default_transport(provider.endpoint, "k", "m", "p", P, 1)

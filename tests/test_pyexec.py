@@ -17,7 +17,13 @@ from bridge.errors import MutantError, SandboxError
 from bridge.gateway import CompletionRecord, prompt_digest
 from bridge.lean import LeanVerifier
 from bridge.pipeline import Orchestrator, RunConfig
-from bridge.sandbox_server import DESCRIPTOR_CAP, FILE_CAP, fingerprint
+from bridge.sandbox_server import (
+    DESCRIPTOR_CAP,
+    FILE_CAP,
+    MutantBuildError,
+    build_mutants,
+    fingerprint,
+)
 from conftest import write_corpus
 
 
@@ -60,22 +66,45 @@ def relayed(monkeypatch, records):
     """
     sent = []
 
-    def run_mutants(request):
+    def run(request):
         sent.append(request)
-        names = [name for name, _ in pyexec.build_mutants(
-            request["source"], request["function_name"])]
+        names = [None]
+        if request["mutants"]:
+            names = [name for name, _ in build_mutants(
+                request["source"], request["function_name"])]
         return names, [(records, 0, False)] * len(names)
 
-    monkeypatch.setattr(pyexec._POOL, "run",
-                        lambda request: sent.append(request) or (records, 0, False))
-    monkeypatch.setattr(pyexec._POOL, "run_mutants", run_mutants)
+    monkeypatch.setattr(pyexec._POOL, "run", run)
     return sent
 
 
 def bare_request():
-    """A request in the server's shape that calls nothing."""
-    return {"source": "", "function_name": "f", "inputs": [],
-            "workdir": os.getcwd(), "timeout": 1.0, "id": os.urandom(16).hex()}
+    """A check in the server's shape that calls nothing."""
+    return {"source": "", "function_name": "f", "inputs": [], "timeout": 1.0,
+            "workdirs": [os.getcwd()], "start": 0, "id": os.urandom(16).hex(),
+            "mutants": False}
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The sandbox servers started from here on; none is idle at the start."""
+    servers = []
+
+    class Counted(pyexec._Server):
+        def __init__(self):
+            servers.append(self)
+            super().__init__()
+
+    pyexec.shutdown()
+    monkeypatch.setattr(pyexec, "_Server", Counted)
+    return servers
+
+
+def run_bare(server):
+    """The results `server` relays for a bare request, and the names it gives."""
+    results = []
+    names = server.run(bare_request(), results)
+    return names, results
 
 
 class TestRunTests:
@@ -213,7 +242,9 @@ class TestSandbox:
     ], ids=["file-size", "descriptors"])
     def test_past_a_resource_cap_is_an_exception(self, call, error):
         src = f"import os\ndef addInts(a, b):\n    {call}\n    return a + b\n"
-        records, fault = pyexec._execute(src, "addInts", [[1, 2]], timeout=10.0)
+        [(name, records, fault)] = pyexec._execute(src, "addInts", [[1, 2]],
+                                                   timeout=10.0)
+        assert name is None
         assert fault is None
         assert records[0]["kind"] == "fault" and error in records[0]["error"]
 
@@ -515,7 +546,7 @@ class TestSandboxServer:
         assert pyexec.run_tests(src, ADD).all_passed
         assert pyexec.run_tests("import pytest\n" + GOOD_ADD, ADD).fault == "Crash"
 
-    def test_vacuity_check_survives_a_killed_server(self, monkeypatch):
+    def test_vacuity_check_survives_a_killed_server(self, started):
         # only the flipped comparisons reach the kill: each takes its server
         # down on its first probe, and the mutants after it get a fresh one
         src = (
@@ -525,15 +556,6 @@ class TestSandboxServer:
             "        os.kill(os.getppid(), 9)\n"
             "    return a + b\n"
         )
-        started = []
-
-        class Counted(pyexec._Server):
-            def __init__(self):
-                started.append(self)
-                super().__init__()
-
-        pyexec.shutdown()
-        monkeypatch.setattr(pyexec, "_Server", Counted)
         report = pyexec.vacuity_check(src, ADD, seed=3, random_trials=10)
         ran = {"rejected": False, "rejections": 0, "pre_rejections": 0, "crashes": 0}
         lost = dict(ran, crashes=1)
@@ -572,7 +594,8 @@ class TestSandboxServer:
         server = pyexec._Server()
         server._proc.kill()
         server._proc.wait()
-        records, returncode, timed_out = server.run(bare_request())
+        names, [(records, returncode, timed_out)] = run_bare(server)
+        assert names == [None]
         assert (records, timed_out) == ([], False)
         assert returncode not in (0, None)
         assert not server.alive()
@@ -611,8 +634,11 @@ class TestJudgedInParent:
         pyexec.run_tests("def greet(name):\n    return name\n", problem)
         [request] = sent
         assert set(request) == {
-            "source", "function_name", "inputs", "workdir", "timeout", "id",
+            "source", "function_name", "inputs", "timeout", "workdirs", "start",
+            "id", "mutants",
         }
+        assert (request["mutants"], request["start"], len(request["workdirs"])) == (
+            False, 0, 1)
         assert request["inputs"] == [["ann"]]
         assert "hello-ann-7f3" not in json.dumps(request)
 
@@ -804,7 +830,8 @@ class TestServerProtocol:
         killed_groups = []
         monkeypatch.setattr(os, "killpg", lambda pgid, sig: killed_groups.append(pgid))
         server = pyexec._Server()
-        records, returncode, timed_out = server.run(bare_request())
+        names, [(records, returncode, timed_out)] = run_bare(server)
+        assert names == [None]
         assert (records, timed_out) == ([], False)
         assert returncode not in (0, None)
         assert not server.alive()
@@ -972,21 +999,21 @@ def clampNonNeg(nums):
 
 class TestBuildMutants:
     def test_full_recipe_set(self):
-        mutants = pyexec.build_mutants(CLAMP_SRC, "clampNonNeg")
+        mutants = build_mutants(CLAMP_SRC, "clampNonNeg")
         assert [name for name, _ in mutants] == [
             "const-return-zero", "const-return-none", "negate-comparisons",
             "mirror-comparisons", "return-plus-one", "return-minus-one",
         ]
 
     def test_mutant_sources_are_pinned(self):
-        mutants = pyexec.build_mutants(CLAMP_SRC, "clampNonNeg")
+        mutants = build_mutants(CLAMP_SRC, "clampNonNeg")
         joined = "\n".join(source for _, source in mutants)
         assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == (
             "fba27a727f90c59b76b20aaa3dae614e83242d9ae319489be82ddb08bf336312"
         )
 
     def test_comparison_free_function_drops_flip_recipes(self):
-        mutants = pyexec.build_mutants(GOOD_ADD, "addInts")
+        mutants = build_mutants(GOOD_ADD, "addInts")
         names = [name for name, _ in mutants]
         assert "negate-comparisons" not in names
         assert "mirror-comparisons" not in names
@@ -994,7 +1021,7 @@ class TestBuildMutants:
 
     def test_noop_const_mutant_dropped(self):
         src = "def f(x):\n    return 0\n"
-        names = [name for name, _ in pyexec.build_mutants(src, "f")]
+        names = [name for name, _ in build_mutants(src, "f")]
         assert "const-return-zero" not in names
         assert "const-return-none" in names
 
@@ -1004,22 +1031,23 @@ class TestBuildMutants:
             "    assert x > 0\n"
             "    return x > 10\n"
         )
-        mutants = dict(pyexec.build_mutants(src, "f"))
+        mutants = dict(build_mutants(src, "f"))
         negated = mutants["negate-comparisons"]
         assert "assert x > 0" in negated
         assert "x <= 10" in negated
 
     def test_zero_constructible_raises(self):
-        with pytest.raises(MutantError):
-            pyexec.build_mutants("def f(x):\n    pass\n", "f")
-        with pytest.raises(MutantError, match="^cannot build mutants: SyntaxError: "):
-            pyexec.build_mutants("def f(x):\n    return (\n", "f")
+        with pytest.raises(MutantBuildError):
+            build_mutants("def f(x):\n    pass\n", "f")
+        with pytest.raises(MutantBuildError, match="^cannot build mutants: SyntaxError: "):
+            build_mutants("def f(x):\n    return (\n", "f")
 
     def test_source_too_deep_to_rewrite_raises(self):
         src = "def f(x):\n    return x" + " + 0" * 400 + "\n"
         compile(src, "<deep>", "exec")
-        with pytest.raises(MutantError, match="^cannot build mutants: RecursionError: "):
-            pyexec.build_mutants(src, "f")
+        with pytest.raises(MutantBuildError,
+                           match="^cannot build mutants: RecursionError: "):
+            build_mutants(src, "f")
 
     def test_mutants_leave_other_functions_alone(self):
         src = (
@@ -1028,7 +1056,7 @@ class TestBuildMutants:
             "def f(x):\n"
             "    return helper(x) and x > 10\n"
         )
-        mutants = dict(pyexec.build_mutants(src, "f"))
+        mutants = dict(build_mutants(src, "f"))
         assert "x > 0" in mutants["negate-comparisons"]
         assert "x <= 10" in mutants["negate-comparisons"]
 
@@ -1073,15 +1101,19 @@ class TestVacuity:
 
     def test_vacuity_check_is_one_request(self, monkeypatch):
         sent = relayed(monkeypatch, PASSING_ADD)
-        reference = pyexec.run_tests(GOOD_ADD, ADD)
+        reference = pyexec.run_tests(GOOD_ADD, ADD, timeout=30.0)
         report = pyexec.vacuity_check(GOOD_ADD, ADD, seed=3, random_trials=10,
                                       reference=reference)
-        [_, request] = sent
-        assert set(request) == {
-            "source", "function_name", "inputs", "workdirs", "start", "timeout", "id",
+        [check, request] = sent
+        # one request shape: only the mutants flag and the work directories differ
+        assert set(request) == set(check)
+        assert {key for key in request if request[key] != check[key]} == {
+            "inputs", "workdirs", "id", "mutants",
         }
+        assert (check["mutants"], request["mutants"]) == (False, True)
+        assert (len(check["workdirs"]), len(request["workdirs"])) == (1, 6)
         assert (request["source"], request["start"]) == (GOOD_ADD, 0)
-        assert len(request["inputs"]) == 13 and len(request["workdirs"]) == 6
+        assert len(request["inputs"]) == 13
         assert report.mutants_total == 4
 
     def test_failed_build_raises_the_server_error(self):
@@ -1090,6 +1122,16 @@ class TestVacuity:
         assert reference.all_passed
         with pytest.raises(MutantError, match="^cannot build mutants: RecursionError: "):
             pyexec.vacuity_check(deep, ADD, reference=reference)
+
+    def test_failed_build_keeps_the_server(self, started):
+        deep = "def addInts(a, b):\n    return a + b" + " + 0" * 400 + "\n"
+        passing = pyexec.TestOutcome(total=3, passed=3)
+        with pytest.raises(MutantError, match="^cannot build mutants: RecursionError: "):
+            pyexec.vacuity_check(deep, ADD, reference=passing)
+        # the server answered in turn, so it serves the next check
+        assert pyexec.run_tests(GOOD_ADD, ADD).all_passed
+        assert len(started) == 1
+        assert pyexec._POOL._idle == started
 
     def test_self_violating_spec_is_inconsistent(self):
         src = (
