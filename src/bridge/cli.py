@@ -123,21 +123,14 @@ def _cmd_run(args) -> int:
     return _run_and_print(RunConfig.from_file(args.config, overrides))
 
 
-def _run_dir(args) -> Path:
-    run_dir = Path(args.runs_root) / args.run
-    if not run_dir.is_dir():
-        raise ConfigError(f"run directory not found: {run_dir}")
-    return run_dir
-
-
 def _cmd_replay(args) -> int:
-    config = read_manifest(_run_dir(args))["config"]
+    config = read_manifest(Path(args.runs_root) / args.run)["config"]
     overrides = {"gateway.mode": "replay", "runs_root": json.dumps(args.runs_root)}
     return _run_and_print(RunConfig.from_obj(config, overrides))
 
 
 def _cmd_report(args) -> int:
-    report_dir = write_report(_run_dir(args))
+    report_dir = write_report(Path(args.runs_root) / args.run)
     print(f"report written to {report_dir}")
     return 0
 

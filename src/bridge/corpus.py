@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from . import literals
-from .errors import CorpusError
+from .errors import CorpusError, read_text
 
 CATEGORIES = (
     "arrays",
@@ -177,10 +177,7 @@ def load_manifest(path: Union[str, Path]) -> Tuple[Problem, ...]:
     CorpusError naming the offending problem.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read manifest {path}: {exc}") from None
+    text = read_text(path, CorpusError, "problem corpus")
     problems: List[Problem] = []
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline, and the one input reader.
 
 Each failure domain gets its own class so the CLI can map errors to exit
-codes without string matching.
+codes without string matching; an input file that cannot be used raises its
+domain's class, naming the file.
 """
+
+import json
+from pathlib import Path
 
 
 class BridgeError(Exception):
@@ -47,3 +51,26 @@ class SandboxError(BridgeError):
 
 class MutantError(BridgeError):
     """Vacuity check could not construct any mutant for the artifact."""
+
+
+def read_text(path, error: type, what: str) -> str:
+    """A UTF-8 file's text; `error` naming the file when it is missing (its
+    __cause__ the FileNotFoundError), cannot be read or is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise error(f"{what} not found: {path}") from exc
+    except (OSError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
+        raise error(f"{path}: cannot read {what}: {getattr(exc, 'strerror', exc)}") from None
+
+
+def read_json(path, error: type, what: str) -> dict:
+    """The JSON object a file holds; `error` as read_text raises it, or when
+    the file holds no JSON object."""
+    try:
+        obj = json.loads(read_text(path, error, what))
+    except ValueError as exc:
+        raise error(f"{path}: {what} is not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{path}: {what} is not a JSON object")
+    return obj

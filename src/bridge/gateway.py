@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import metrics
-from .errors import ConfigError, GatewayError, ReplayMissError, TransportError
+from .errors import ConfigError, GatewayError, ReplayMissError, TransportError, read_json
 
 MODES = ("live", "record", "replay", "mock")
 # transport attempts per batch, and the first backoff, doubled per retry
@@ -97,17 +97,27 @@ def _completions(
     ]
 
 
+# what _servable asks of a stored record, an object
+_RECORD = "a string text, an integer or null reported_tokens and a number latency"
+
+
+def _servable(record) -> bool:
+    return (isinstance(record, dict) and type(record.get("text")) is str
+            and type(record.get("reported_tokens")) in (int, type(None))
+            and type(record.get("latency", 0.0)) in (int, float))
+
+
 def _script_table(script: Mapping) -> Dict[str, List[Mapping]]:
     """A mock script's entries as stored records, indexed once by digest.
 
-    Every entry needs a digest, a sample_index and a text, and each digest's
-    indices must run 0..m-1 with no gap and no repeat.
+    Every entry needs a digest and a sample_index and must be _servable, and
+    each digest's indices must run 0..m-1 with no gap and no repeat.
     """
     groups: Dict[str, List[Tuple[int, Mapping]]] = {}
     for number, entry in enumerate(script.get("entries", [])):
-        missing = [k for k in ("digest", "sample_index", "text") if k not in entry]
-        if missing:
-            raise ConfigError(f"mock script entry {number} lacks {', '.join(missing)}")
+        if not (_servable(entry) and "digest" in entry and "sample_index" in entry):
+            raise ConfigError(f"mock script entry {number} needs a digest, a "
+                              f"sample_index, {_RECORD}")
         groups.setdefault(entry["digest"], []).append((number, entry))
     table = {}
     for digest, group in groups.items():
@@ -124,9 +134,13 @@ def _script_table(script: Mapping) -> Dict[str, List[Mapping]]:
     return table
 
 
-def _file_records(text: str) -> List[dict]:
-    """The stored records of an archive file's text."""
-    return json.loads(text).get("records", [])
+def _file_records(path: Path) -> List[dict]:
+    """The stored records of an archive file; GatewayError naming the file
+    when it cannot be read or a record is not _servable."""
+    records = read_json(path, GatewayError, "archive file").get("records", [])
+    if not isinstance(records, list) or not all(map(_servable, records)):
+        raise GatewayError(f"{path}: records must be a list of objects with {_RECORD}")
+    return records
 
 
 def _default_transport(
@@ -206,10 +220,7 @@ class ModelGateway:
             if script is None:
                 raise ConfigError("mock mode requires a script")
             if isinstance(script, (str, Path)):
-                try:
-                    script = json.loads(Path(script).read_text(encoding="utf-8"))
-                except FileNotFoundError:
-                    raise ConfigError(f"mock script not found: {script}") from None
+                script = read_json(script, ConfigError, "mock script")
             self._archive = _script_table(script)
         if mode in ("record", "replay") and self.archive_dir is None:
             raise ConfigError(f"{mode} mode requires an archive directory")
@@ -258,10 +269,11 @@ class ModelGateway:
             if records is not None:
                 return records
         try:
-            text = self._archive_path(digest).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        records = self._archive[digest] = _file_records(text)
+            records = self._archive[digest] = _file_records(self._archive_path(digest))
+        except GatewayError as exc:
+            if isinstance(exc.__cause__, FileNotFoundError):  # a missing file is a miss
+                return None
+            raise
         return records
 
     def _read_archive(self) -> None:
@@ -271,8 +283,9 @@ class ModelGateway:
         hands the interpreter lock to another worker.  The pass reads and
         holds the records of every file, also of files the run never asks
         for: an archive shared by several configs costs all of their reads.
-        A file that does not read or parse is left to the single-file read,
-        which fails as it always did if that digest is ever requested.
+        A file that _file_records refuses is skipped and left to the
+        single-file read, whose GatewayError names it if that digest is ever
+        requested.
         """
         with self._locks_guard:
             if self._archive_read:
@@ -280,8 +293,8 @@ class ModelGateway:
             table = {}
             for path in self.archive_dir.glob("*.json"):
                 try:
-                    table[path.stem] = _file_records(path.read_text(encoding="utf-8"))
-                except (OSError, ValueError, AttributeError):
+                    table[path.stem] = _file_records(path)
+                except GatewayError:
                     continue
             # published at once, so no worker runs on a half-read archive
             # while this one waits on the disk

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import re
 import shutil
 import subprocess
@@ -22,7 +21,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from . import literals
 from .corpus import Problem
-from .errors import BackendMissingError, CorpusError
+from .errors import BackendMissingError, CorpusError, read_json
 
 DEFAULT_TIMEOUT = 120.0
 SOURCE_NAME = "Candidate.lean"
@@ -279,18 +278,10 @@ class LeanVerifier:
         )
         self._runner = runner
         self._transcripts: Optional[Dict[str, Mapping]] = None
-        if transcripts is not None:
-            if isinstance(transcripts, (str, Path)):
-                try:
-                    self._transcripts = json.loads(
-                        Path(transcripts).read_text(encoding="utf-8")
-                    )
-                except FileNotFoundError:
-                    raise BackendMissingError(
-                        f"transcript bank not found: {transcripts}"
-                    ) from None
-            else:
-                self._transcripts = dict(transcripts)
+        if isinstance(transcripts, (str, Path)):
+            self._transcripts = read_json(transcripts, BackendMissingError, "transcript bank")
+        elif transcripts is not None:
+            self._transcripts = dict(transcripts)
 
     @property
     def replays(self) -> bool:

@@ -48,7 +48,7 @@ from typing import Union
 
 from . import __version__, lean, metrics, proofs, pyexec
 from .corpus import Problem, load_manifest
-from .errors import ConfigError, NoArtifactError
+from .errors import ConfigError, NoArtifactError, read_json
 from .gateway import MODES as GATEWAY_MODES
 from .gateway import CompletionRecord, DecodingParams, ModelGateway, count_tokens
 from .lean import LeanVerifier, VerificationOutcome, VerifyStatus
@@ -245,16 +245,7 @@ class RunConfig(NamedTuple):
     def from_file(
         cls, path, overrides: Optional[Mapping[str, str]] = None
     ) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        return cls.from_obj(obj, overrides)
+        return cls.from_obj(read_json(path, ConfigError, "config file"), overrides)
 
     def to_obj(self) -> Dict:
         """The config as a JSON object, a deep copy the caller may change."""
@@ -307,11 +298,6 @@ def _apply_override(obj: Dict, dotted: str, raw: str) -> None:
     except json.JSONDecodeError:
         value = raw
     node[parts[-1]] = value
-
-
-def _digest_file(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _digest_templates(root: Path) -> str:
@@ -459,8 +445,8 @@ def _read_chains(path: Path) -> Iterator[Dict]:
     sorted by cell, so only the current cell's lines are kept.  The
     sample_index member is found from the end of the line: `,"` never occurs
     inside a JSON string, whose quotes are escaped.  A line that does not end
-    in the canonical form is decoded as it is.  A line that is not a chain
-    raises ConfigError naming it.
+    in the canonical form is decoded as it is.  A line that is not a chain,
+    with integer words and tokens in each round, raises ConfigError naming it.
     """
     seen: Dict[Tuple[bytes, bytes], Dict] = {}
     cell = None
@@ -488,8 +474,11 @@ def _read_chains(path: Path) -> Iterator[Dict]:
                 if not isinstance(chain.get(name), str):
                     raise ConfigError(f"{path}:{number}: {name} is missing or not a string")
             rounds = chain.get("rounds")
-            if not isinstance(rounds, list) or not all(isinstance(r, dict) for r in rounds):
-                raise ConfigError(f"{path}:{number}: rounds is missing or not a list of objects")
+            if not isinstance(rounds, list) or not all(
+                    isinstance(r, dict) and type(r.get("words")) is type(r.get("tokens")) is int
+                    for r in rounds):
+                raise ConfigError(f"{path}:{number}: rounds is missing or not a list of "
+                                  "objects with integer words and tokens")
             if (chain["problem"], chain["strategy"], chain["model"]) != cell:
                 cell = (chain["problem"], chain["strategy"], chain["model"])
                 seen.clear()
@@ -946,7 +935,7 @@ class Orchestrator:
             key=lambda c: (c["problem"], c["strategy"], c["model"], c["sample_index"])
         )
 
-        corpus_digest = _digest_file(config.corpus)
+        corpus_digest = hashlib.sha256(Path(config.corpus).read_bytes()).hexdigest()
         templates_digest = _digest_templates(self.catalog.root)
         run_id = compute_run_id(config, corpus_digest, templates_digest) + suffix
         run_dir = _claim_run_dir(Path(config.runs_root), run_id)
@@ -1041,27 +1030,29 @@ def read_manifest(run_dir: Path) -> Dict:
     """The manifest.json of a run directory, which holds a `config` object;
     ConfigError naming the file when it is missing or damaged."""
     path = Path(run_dir) / "manifest.json"
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"{run_dir} has no manifest.json") from None
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise ConfigError(f"{path}: not a JSON document: {exc}") from None
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
-        raise ConfigError(f"{path}: not an object with a config object")
+    manifest = read_json(path, ConfigError, "run manifest")
+    if not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f"{path}: run manifest has no config object")
     return manifest
 
 
 def write_report(run_dir: Path) -> Path:
     """Build the metrics report for an existing run directory, streaming its
-    chains.jsonl; ConfigError, and no report, when the chains it holds are
-    not as many as the manifest's chain_count."""
-    chains_path = Path(run_dir) / "chains.jsonl"
-    if not chains_path.exists():
-        raise ConfigError(f"{run_dir} does not look like a run directory")
+    chains.jsonl; ConfigError, and no report, when a config value it reads
+    breaks its rule (a missing success.lean or k_ladder is its default) or
+    the chains are not as many as the manifest's chain_count."""
     manifest = read_manifest(run_dir)
+    chains_path = Path(run_dir) / "chains.jsonl"
+    if not chains_path.is_file():
+        raise ConfigError(f"chains file missing or not a file: {chains_path}")
     config, expected = manifest["config"], manifest.get("chain_count")
+    values = {}
+    for name, default in (("decoding", None), ("decoding.temperature", None), ("success", {}),
+                          ("success.lean", _SECTIONS["success"]["lean"]),
+                          ("k_ladder", metrics.DEFAULT_K_LADDER)):
+        section, _, key = name.partition(".")
+        values[name] = (values[section] if key else config).get(key or section, default)
+        _RULES[name].check(f"{name} in {Path(run_dir) / 'manifest.json'}", values[name])
 
     def counted() -> Iterator[Dict]:
         count = 0
@@ -1071,7 +1062,6 @@ def write_report(run_dir: Path) -> Path:
             raise ConfigError(f"{chains_path} holds {count} chains, but manifest.json "
                               f"records chain_count {expected}")
 
-    ladder = config.get("k_ladder") or metrics.DEFAULT_K_LADDER
     report_dir = Path(run_dir) / "report"
-    metrics.emit_report(counted(), config, report_dir, k_ladder=ladder)
+    metrics.emit_report(counted(), config, report_dir, k_ladder=values["k_ladder"])
     return report_dir

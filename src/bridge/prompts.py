@@ -9,13 +9,12 @@ swaps first, then values, and any survivor of either syntax is an error.
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import Problem
-from .errors import NoArtifactError, TemplateError
+from .errors import NoArtifactError, TemplateError, read_json, read_text
 
 DOMAINS = ("code", "spec", "proof")
 
@@ -95,9 +94,6 @@ _PLACEHOLDER = re.compile(r"\{\{\s*([A-Za-z_][A-Za-z0-9_]*)\s*\}\}")
 _SWAP = re.compile(r"\[SWAP:([A-Za-z_][A-Za-z0-9_]*)\]")
 _LEFTOVER = ("{{", "}}", "[SWAP:")
 
-_DEFAULT_ROOT = Path(__file__).parent / "templates"
-
-
 def problem_values(problem: Problem) -> Dict[str, str]:
     """Placeholder values derived from a Problem."""
     binders = " ".join(f"({n} : {t})" for n, t in problem.params)
@@ -118,7 +114,6 @@ def problem_values(problem: Problem) -> Dict[str, str]:
         "param_names_csv": csv_names,
         "input_type": problem.params[0][1],
         "return_type": problem.return_type,
-        "category": problem.category,
         "unit_tests": "\n".join(test_lines),
     }
 
@@ -146,27 +141,20 @@ def _check_leftovers(text: str, where: str) -> None:
 class TemplateCatalog:
     """Loads templates and swap tables from a directory tree."""
 
-    def __init__(self, root: Optional[Path] = None) -> None:
-        self.root = Path(root) if root is not None else _DEFAULT_ROOT
+    root = Path(__file__).parent / "templates"
+
+    def __init__(self) -> None:
         self._swaps: Optional[Dict[str, Dict[str, str]]] = None
         self._cache: Dict[str, str] = {}
 
     def _load_swaps(self) -> Dict[str, Dict[str, str]]:
         if self._swaps is None:
-            path = self.root / "swaps.json"
-            try:
-                self._swaps = json.loads(path.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise TemplateError(f"cannot read swap table {path}: {exc}") from None
+            self._swaps = read_json(self.root / "swaps.json", TemplateError, "swap table")
         return self._swaps
 
     def _template_text(self, relative: str) -> str:
         if relative not in self._cache:
-            path = self.root / relative
-            try:
-                self._cache[relative] = path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise TemplateError(f"cannot read template {path}: {exc}") from None
+            self._cache[relative] = read_text(self.root / relative, TemplateError, "template")
         return self._cache[relative]
 
     def render(self, strategy: StrategyId, problem: Problem) -> str:

@@ -39,7 +39,7 @@ DEFAULT_TRIALS = 50
 DEFAULT_RANDOM_TRIALS = 25
 
 # env vars the child is allowed to inherit
-_ENV_ALLOW = ("PATH", "LANG", "LC_ALL", "PYTHONIOENCODING", "SYSTEMROOT")
+_ENV_ALLOW = ("PATH", "LANG", "LC_ALL", "PYTHONIOENCODING")
 
 # run as `<python> -I -S -c <text>`, so that BRIDGE_PYTHON_CMD wrappers need no file
 _SERVER_SOURCE = Path(sandbox_server.__file__).read_text(encoding="utf-8")
@@ -448,7 +448,7 @@ def check_contracts(
     *,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    timeout: float = 30.0,
+    timeout: float = DEFAULT_TIMEOUT,
 ) -> ContractReport:
     """Probe contract activity by calling the candidate on random inputs."""
     [(_, records, fault)] = _execute(
@@ -472,7 +472,7 @@ def vacuity_check(
     *,
     seed: int = 0,
     random_trials: int = DEFAULT_RANDOM_TRIALS,
-    timeout: float = 30.0,
+    timeout: float = DEFAULT_TIMEOUT,
     reference: Optional[TestOutcome] = None,
 ) -> VacuityReport:
     """Judge whether a specification's contracts actually constrain behavior.

@@ -1,12 +1,17 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from bridge import metrics
 from bridge.cli import main
-from bridge.prompts import list_strategies
+from bridge.corpus import load_manifest
+from bridge.gateway import DecodingParams, prompt_digest
+from bridge.prompts import StrategyId, TemplateCatalog, list_strategies
 
 MINI_CONFIG = "fixtures/configs/mini_replay.json"
+E2E_CONFIG = "fixtures/configs/e2e.json"
 
 
 def run_cli(capsys, *argv):
@@ -291,3 +296,196 @@ class TestReplayAndReport:
         code, _, err = run_cli(
             capsys, "report", "--run", "run-missing", "--runs-root", str(tmp_path))
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def mini_run(tmp_path_factory):
+    """A finished mini-replay run, made once; tests damage copies of it."""
+    runs_root = tmp_path_factory.mktemp("mini") / "runs"
+    assert main(["run", "--config", MINI_CONFIG, "--runs-root", str(runs_root)]) == 0
+    [run_dir] = runs_root.iterdir()
+    return run_dir
+
+
+def copied_run(mini_run, tmp_path):
+    """A copy of the finished run under tmp_path/runs, and its run id."""
+    shutil.copytree(mini_run, tmp_path / "runs" / mini_run.name)
+    return tmp_path / "runs", mini_run.name
+
+
+def first_replay_file(archive):
+    """The archive file of mini_replay.json's first cell's first request."""
+    [problem] = [p for p in load_manifest("fixtures/corpus.jsonl") if p.id == "climbing-stairs"]
+    prompt = TemplateCatalog().render(StrategyId.parse("code/direct"), problem)
+    digest = prompt_digest("mock-alpha", prompt, DecodingParams(0.7, 2048, 5, 17))
+    return archive / f"{digest}.json"
+
+
+def replay_archive(tmp_path):
+    """A copy of the committed replay archive and its first requested file."""
+    archive = tmp_path / "archive"
+    shutil.copytree("fixtures/replay", archive)
+    path = first_replay_file(archive)
+    assert path.is_file()
+    return archive, path
+
+
+def damage(path, how):
+    """Leave path missing, or make it a directory or a damaged file."""
+    if path.is_dir():
+        shutil.rmtree(path)
+    elif path.exists():
+        path.unlink()
+    if how == "directory":
+        path.mkdir()
+    elif how != "missing":
+        path.write_bytes({"not-utf8": b'{"text": "\xff\xfe"}\n', "not-json": b"{not json\n",
+                          "array": b"[]\n"}[how])
+
+
+def assert_one_error_line(err, code, want, *names):
+    assert code == want, err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+    for name in names:
+        assert str(name) in err
+
+
+ALL = ("missing", "directory", "not-utf8", "not-json", "array")
+
+
+class TestDamagedInput:
+    """A file bridge cannot use is one error line with its kind's exit code."""
+
+    def run_with(self, capsys, tmp_path, config, *overrides):
+        argv = ["run", "--config", str(config), "--runs-root", str(tmp_path / "runs")]
+        for override in overrides:
+            argv += ["--override", override]
+        code, out, err = run_cli(capsys, *argv)
+        assert out == "" and not (tmp_path / "runs").exists()
+        return code, err
+
+    @pytest.mark.parametrize("how", ALL)
+    def test_config_file(self, capsys, tmp_path, how):
+        path = tmp_path / "config.json"
+        damage(path, how)
+        code, err = self.run_with(capsys, tmp_path, path)
+        assert_one_error_line(err, code, 2, path)
+
+    @pytest.mark.parametrize("how", ALL)
+    def test_mock_script(self, capsys, tmp_path, how):
+        path = tmp_path / "script.json"
+        damage(path, how)
+        code, err = self.run_with(capsys, tmp_path, E2E_CONFIG, f"gateway.script={path}")
+        assert_one_error_line(err, code, 2, path)
+
+    @pytest.mark.parametrize("how", ALL)
+    def test_transcript_bank(self, capsys, tmp_path, how):
+        path = tmp_path / "bank.json"
+        damage(path, how)
+        code, err = self.run_with(capsys, tmp_path, MINI_CONFIG, f"lean.transcripts={path}")
+        assert_one_error_line(err, code, 4, path)
+
+    @pytest.mark.parametrize("how", ALL[1:])
+    def test_replay_archive_file(self, capsys, tmp_path, how):
+        # the archive's one pass skips the file; its request names it
+        archive, path = replay_archive(tmp_path)
+        damage(path, how)
+        code, err = self.run_with(capsys, tmp_path, MINI_CONFIG,
+                                  f"gateway.archive_dir={archive}")
+        assert_one_error_line(err, code, 1, path)
+
+    @pytest.mark.parametrize("how", ALL)
+    def test_corpus(self, capsys, tmp_path, how):
+        path = tmp_path / "corpus.jsonl"
+        damage(path, how)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert out == ""
+        assert_one_error_line(err, code, 3, path.name)
+
+    @pytest.mark.parametrize("name", ["manifest.json", "chains.jsonl"])
+    @pytest.mark.parametrize("how", ALL)
+    def test_run_file(self, capsys, tmp_path, mini_run, name, how):
+        runs_root, run_id = copied_run(mini_run, tmp_path)
+        path = runs_root / run_id / name
+        damage(path, how)
+        code, out, err = run_cli(capsys, "report", "--run", run_id,
+                                 "--runs-root", str(runs_root))
+        assert out == ""
+        assert_one_error_line(err, code, 2, path)
+        assert not (runs_root / run_id / "report").exists()
+
+    def test_replay_archive_record_without_text(self, capsys, tmp_path):
+        archive, path = replay_archive(tmp_path)
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        del stored["records"][0]["text"]
+        path.write_text(json.dumps(stored), encoding="utf-8")
+        code, err = self.run_with(capsys, tmp_path, MINI_CONFIG,
+                                  f"gateway.archive_dir={archive}")
+        assert_one_error_line(err, code, 1, path, "records must be a list of objects")
+
+    def test_mock_entry_whose_text_is_a_number(self, capsys, tmp_path):
+        script = json.loads(Path("fixtures/mock/e2e_script.json").read_text(encoding="utf-8"))
+        script["entries"][3]["text"] = 5
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script), encoding="utf-8")
+        code, err = self.run_with(capsys, tmp_path, E2E_CONFIG, f"gateway.script={path}")
+        assert_one_error_line(err, code, 2, "mock script entry 3 needs")
+
+
+class TestReportValues:
+    """bridge report refuses a value it would count or read wrongly."""
+
+    def report(self, capsys, runs_root, run_id):
+        code, out, err = run_cli(capsys, "report", "--run", run_id,
+                                 "--runs-root", str(runs_root))
+        assert out == "" and not (runs_root / run_id / "report").exists()
+        return code, err
+
+    @pytest.mark.parametrize("key, value", [("words", None), ("tokens", "4"), ("words", 2.0)])
+    def test_round_count_that_is_no_integer(self, capsys, tmp_path, mini_run, key, value):
+        runs_root, run_id = copied_run(mini_run, tmp_path)
+        path = runs_root / run_id / "chains.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        chain = json.loads(lines[1])
+        chain["rounds"][0][key] = value
+        lines[1] = json.dumps(chain) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        code, err = self.report(capsys, runs_root, run_id)
+        assert_one_error_line(err, code, 2, f"{path}:2: ", "integer words and tokens")
+
+    @pytest.mark.parametrize("change, named", [
+        ({"decoding": None}, "decoding"),
+        ({"decoding": {"seed": 1}}, "decoding.temperature"),
+        ({"k_ladder": ["1"]}, "k_ladder"),
+        ({"k_ladder": []}, "k_ladder"),
+        ({"success": {"lean": "always"}}, "success.lean"),
+        ({"success": "compile-only"}, "success"),
+    ])
+    def test_config_value_that_breaks_its_rule(self, capsys, tmp_path, mini_run, change,
+                                               named):
+        runs_root, run_id = copied_run(mini_run, tmp_path)
+        path = runs_root / run_id / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        for key, value in change.items():
+            if value is None:
+                del manifest["config"][key]
+            else:
+                manifest["config"][key] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code, err = self.report(capsys, runs_root, run_id)
+        assert_one_error_line(err, code, 2, f"error: bad value for {named} in {path}: ")
+
+    def test_missing_predicate_and_ladder_keep_their_defaults(self, capsys, tmp_path,
+                                                              mini_run):
+        runs_root, run_id = copied_run(mini_run, tmp_path)
+        path = runs_root / run_id / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["config"]["success"], manifest["config"]["k_ladder"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code, out, err = run_cli(capsys, "report", "--run", run_id,
+                                 "--runs-root", str(runs_root))
+        assert code == 0, err
+        rows = (runs_root / run_id / "report" / "rows.csv").read_text(encoding="utf-8")
+        header = ",".join(f"pass@{k}" for k in metrics.DEFAULT_K_LADDER)
+        assert header in rows and ",compile+guards," in rows

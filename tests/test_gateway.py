@@ -107,7 +107,12 @@ class TestMockMode:
         [{"digest": "d" * 64, "text": "t"}],
         [entry("the task", 0, "a"), entry("the task", 0, "b")],
         [entry("the task", 0, "a"), entry("the task", 2, "c")],
-    ], ids=["missing-digest", "missing-index", "repeat", "gap"])
+        [entry("the task", 0, "a"), entry("the task", 1, 5)],
+        [entry("the task", 0, "a", reported_tokens="3")],
+        [entry("the task", 0, "a", latency="slow")],
+        [entry("the task", 0, "a"), "the task"],
+    ], ids=["missing-digest", "missing-index", "repeat", "gap", "text-not-string",
+            "tokens-not-integer", "latency-not-number", "not-an-object"])
     def test_malformed_script_is_a_config_error(self, entries):
         with pytest.raises(ConfigError, match=f"entry {len(entries) - 1}"):
             mock_gateway(entries)
@@ -284,6 +289,27 @@ class TestRecordReplay:
         digest = prompt_digest("m", "prompt", P)
         payload = json.loads((arch / f"{digest}.json").read_text(encoding="utf-8"))
         assert len(payload["records"]) == 2
+
+    @pytest.mark.parametrize("stored", [
+        {"records": [{"sample_index": 0}]},
+        {"records": [{"text": "t", "reported_tokens": "3"}]},
+        {"records": [{"text": "t", "latency": None}]},
+        {"records": [{"text": "t"}, 5]},
+        {"records": {"text": "t"}},
+    ], ids=["no-text", "tokens-not-integer", "latency-not-number", "not-an-object",
+            "not-a-list"])
+    def test_damaged_archive_file_is_skipped_until_requested(self, tmp_path, stored):
+        arch = tmp_path / "arch"
+        arch.mkdir()
+        good, bad = (prompt_digest("m", prompt, P) for prompt in ("good", "bad"))
+        (arch / f"{good}.json").write_text(json.dumps({"records": [{"text": "ok"}]}),
+                                           encoding="utf-8")
+        (arch / f"{bad}.json").write_text(json.dumps(stored), encoding="utf-8")
+        gw = ModelGateway("replay", archive_dir=arch)
+        assert [r.text for r in gw.complete_n("m", "good", P)] == ["ok"]
+        assert bad not in gw._archive
+        with pytest.raises(GatewayError, match=f"^{arch / bad}.json: records must be"):
+            gw.complete_n("m", "bad", P)
 
     def test_archive_dir_required(self):
         with pytest.raises(ConfigError):

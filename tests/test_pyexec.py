@@ -1101,7 +1101,7 @@ class TestVacuity:
 
     def test_vacuity_check_is_one_request(self, monkeypatch):
         sent = relayed(monkeypatch, PASSING_ADD)
-        reference = pyexec.run_tests(GOOD_ADD, ADD, timeout=30.0)
+        reference = pyexec.run_tests(GOOD_ADD, ADD)
         report = pyexec.vacuity_check(GOOD_ADD, ADD, seed=3, random_trials=10,
                                       reference=reference)
         [check, request] = sent
